@@ -14,10 +14,9 @@ all in exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import weyl
-from .rootdata import add_weights, neg_weight, pair, scale_weight
+from .rootdata import pair, scale_weight
 from ._intlinalg import canonical_solution
 
 __all__ = [

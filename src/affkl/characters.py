@@ -13,6 +13,7 @@ maps weight -> multiplicity.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import alcoves, hecke, periodic, weyl
@@ -91,7 +92,7 @@ def _coset_minimum(z):
     return cur
 
 
-def coset_constancy(table, w, _window=None):
+def coset_constancy(table, w):
     """True iff the v = 1 values of the column of w_f * w are constant on
     finite-Weyl-group cosets (including zeros in the coset closure)."""
     datum = w.datum
@@ -115,6 +116,11 @@ def coset_constancy(table, w, _window=None):
 
 # ---------------------------------------------------------------------------
 # block combinatorics
+
+
+def _check_prime(p):
+    if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError("p must be a prime, got %d" % p)
 
 
 def is_steinberg_type(datum, lam, p):
@@ -191,6 +197,7 @@ def projective_multiplicities_weight(table, lam, p):
     lam = tuple(lam)
     if p < 2 * datum.coxeter_number - 1:
         raise ValueError("needs p >= 2h - 1")
+    _check_prime(p)
     if is_steinberg_type(datum, lam, p):
         return {lam: 1}
     base, w = block_position(datum, lam, p)
@@ -315,6 +322,7 @@ def baby_verma_character(datum, lam, p):
     (1 + e(-a) + ... + e(-(p-1)a)); total mass p^(number of positive roots)."""
     if p < 2:
         raise ValueError("p must be at least 2")
+    _check_prime(p)
     char = {tuple(lam): 1}
     for root in datum.positive_roots:
         nxt = {}
@@ -386,6 +394,7 @@ def simple_character(table, lam, p, _memo=None, _stack=None):
     lam = tuple(lam)
     if p < 2 * datum.coxeter_number - 1:
         raise ValueError("needs p >= 2h - 1")
+    _check_prime(p)
     if is_steinberg_type(datum, lam, p):
         return dominant_part(datum, baby_verma_character(datum, lam, p))
     if not _is_regular(datum, lam, p):

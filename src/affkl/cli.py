@@ -18,7 +18,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__, alcoves, characters, hecke, parabolic, periodic, rootdata, weyl
@@ -75,7 +74,6 @@ def _build_table(datum, args):
         raise ConfigError("cannot read table: %s" % exc)
     except (ValueError, KeyError) as exc:
         raise ConfigError("invalid table: %s" % exc)
-    hecke.validate_table(table)
     return table
 
 
@@ -160,19 +158,9 @@ def _suite_lemma_rho(datum, table, args):
 
 
 def _suite_main(datum, table, args):
-    sweep = weyl.enumerate_fWext(datum, args.max_len)
-    jobs = max(1, args.jobs)
-
-    def run(w):
-        return parabolic.verify_main(table, w)
-
-    if jobs == 1:
-        reports = [run(w) for w in sweep]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run, sweep))  # in-order assembly
     checks = []
-    for rep in reports:
+    for w in weyl.enumerate_fWext(datum, args.max_len):
+        rep = parabolic.verify_main(table, w)
         chk = {
             "name": "central-morphism-matches-canonical-column",
             "w": rep["w"],
@@ -629,8 +617,6 @@ def build_parser():
     _add_common(pv)
     pv.add_argument("--max-len", dest="max_len", type=int, default=4,
                     help="length bound for element/alcove sweeps")
-    pv.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers (output order is deterministic)")
     pv.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (non-deterministic)")
     pv.set_defaults(func=cmd_verify)
@@ -644,8 +630,6 @@ def build_parser():
     pc.add_argument("--alcove", help="alcove label: word or canonical text")
     pc.add_argument("--weight", help="weight coordinates, e.g. '1,2'")
     pc.add_argument("--p", type=int, help="the prime")
-    pc.add_argument("--window", type=int, default=None,
-                    help="length bound where a sweep window applies")
     pc.set_defaults(func=cmd_compute)
 
     pd = sub.add_parser("draw", help="rank-2 alcove diagram (SVG or TikZ)")

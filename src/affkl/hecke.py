@@ -2,11 +2,15 @@
 
 * :class:`LaurentPoly`: sparse integer Laurent polynomials in v with the bar
   involution v -> v^{-1} and exact division.
+* :class:`Combination`: the sparse "key -> Laurent polynomial" arithmetic
+  shared by the algebra and its modules, with the generator step of
+  Soergel's rules, and :func:`act_standard`, the one walker along a reduced
+  word that every right action and the bar involution fold that step over.
 * :class:`HeckeElem`: finitely supported Z[v, v^{-1}]-combinations of the
   standard basis (H_w), with the quadratic relation
   (H_s + v)(H_s - v^{-1}) = 0 and H_x H_y = H_{xy} when lengths add.
-* Kazhdan-Lusztig basis via the right-descent recursion, memoized in memory
-  and optionally in an append-only on-disk cache.
+* Kazhdan-Lusztig basis via the right-descent recursion, memoized per datum
+  and optionally in an append-only on-disk cache scoped to its datum.
 * Ingestion and validation of external tables for the characteristic-p
   canonical basis; the Kazhdan-Lusztig basis itself is the built-in
   "large p" instance.
@@ -26,9 +30,12 @@ __all__ = [
     "LaurentPoly",
     "v",
     "one",
+    "Combination",
     "HeckeElem",
     "unit",
     "standard",
+    "act_standard",
+    "act",
     "mul",
     "bar",
     "kl_basis",
@@ -196,8 +203,7 @@ def box_normalizer(datum):
 
 
 def _finite_elements(datum):
-    cached = getattr(datum, "_finite_elements", None)
-    if cached is None:
+    def build():
         gens = weyl.finite_generators(datum)
         seen = {weyl.identity(datum)}
         frontier = list(seen)
@@ -210,56 +216,127 @@ def _finite_elements(datum):
                         seen.add(y)
                         nxt.append(y)
             frontier = nxt
-        cached = tuple(sorted(seen, key=weyl.sort_key))
-        datum._finite_elements = cached
-    return cached
+        return tuple(sorted(seen, key=weyl.sort_key))
+    return datum.memo.entry("finite_elements", build)
 
 
 # ---------------------------------------------------------------------------
-# Hecke elements
+# sparse combinations and the reduced-word walker
 
 
-class HeckeElem:
-    """Finitely supported map W_ext -> Z[v, v^{-1}] in the standard basis."""
+class Combination:
+    """Finitely supported map key -> Laurent polynomial over one root datum.
+
+    A subclass gives its key order (``sort_key``), its repr label
+    (``symbol`` and ``key_text``) and its generator step: the default
+    ``step`` is Soergel's rule for keys in W_ext, and ``leave_factor``
+    selects the algebra (None) or a module on the coset-minimal set.  Zero
+    coefficients are dropped on construction.
+    """
 
     __slots__ = ("datum", "support")
+    symbol = None
+    sort_key = staticmethod(weyl.sort_key)
+    key_text = staticmethod(weyl.to_text)
+    # Coefficient of the term w in (term w) . H_s when ws leaves the
+    # coset-minimal set; None for the algebra, which has no such set.
+    leave_factor = None
 
     def __init__(self, datum, support=None):
         self.datum = datum
-        self.support = {w: p for w, p in (support or {}).items() if not p.is_zero()}
+        self.support = {k: p for k, p in (support or {}).items() if not p.is_zero()}
 
     def __eq__(self, other):
-        return isinstance(other, HeckeElem) and self.support == other.support
+        return type(self) is type(other) and self.support == other.support
 
     def is_zero(self):
         return not self.support
 
     def __add__(self, other):
         out = dict(self.support)
-        for w, p in other.support.items():
-            out[w] = out.get(w, LaurentPoly()) + p
-        return HeckeElem(self.datum, out)
+        for k, p in other.support.items():
+            out[k] = out.get(k, LaurentPoly()) + p
+        return type(self)(self.datum, out)
 
     def __sub__(self, other):
         out = dict(self.support)
-        for w, p in other.support.items():
-            out[w] = out.get(w, LaurentPoly()) - p
-        return HeckeElem(self.datum, out)
+        for k, p in other.support.items():
+            out[k] = out.get(k, LaurentPoly()) - p
+        return type(self)(self.datum, out)
 
     def scale(self, poly):
-        return HeckeElem(self.datum, {w: p * poly for w, p in self.support.items()})
+        return type(self)(self.datum, {k: p * poly for k, p in self.support.items()})
 
-    def coeff(self, w):
-        return self.support.get(w, LaurentPoly())
+    def coeff(self, key):
+        return self.support.get(key, LaurentPoly())
 
     def items_sorted(self):
-        return sorted(self.support.items(), key=lambda kv: weyl.sort_key(kv[0]))
+        key = self.sort_key
+        return sorted(self.support.items(), key=lambda kv: key(kv[0]))
+
+    def step(self, s):
+        """Right action of H_s for a length-1 generator s: the term w goes
+        to ws, plus (v^{-1} - v) w when ws is shorter; in a module whose
+        basis is the coset-minimal set, to ``leave_factor`` w when ws
+        leaves that set."""
+        out = {}
+        leave = self.leave_factor
+        for w, p in self.support.items():
+            ws = weyl.multiply(w, s)
+            if leave is not None and not weyl.is_fWext(ws):
+                out[w] = out.get(w, LaurentPoly()) + p * leave
+                continue
+            out[ws] = out.get(ws, LaurentPoly()) + p
+            if ws.length() < w.length():
+                out[w] = out.get(w, LaurentPoly()) + p * (vinv - v)
+        return type(self)(self.datum, out)
 
     def __repr__(self):
         if not self.support:
-            return "HeckeElem(0)"
-        bits = ["(%r)*H[%s]" % (p, weyl.to_text(w)) for w, p in self.items_sorted()]
-        return " + ".join(bits)
+            return "%s(0)" % type(self).__name__
+        return " + ".join("(%r)*%s[%s]" % (p, self.symbol, self.key_text(k))
+                          for k, p in self.items_sorted())
+
+
+def act_standard(x, y, step=None):
+    """x . H_y for one element y of W_ext.
+
+    With y = omega u (l(omega) = 0, u in W), H_y = H_{u'} H_omega for
+    u' = omega u omega^{-1}: fold ``step`` (default: the generator step of
+    x's type) over a reduced word of u', then shift every key right by
+    omega.
+    """
+    step = step or type(x).step
+    omega, u = weyl.omega_decompose(y)
+    uprime = weyl.multiply(weyl.multiply(omega, u), weyl.invert(omega))
+    gens = weyl.all_generators(x.datum)
+    for i in weyl.reduced_word(uprime):
+        x = step(x, gens[i])
+    if not omega.is_identity():
+        x = type(x)(x.datum, {weyl.multiply(w, omega): p for w, p in x.support.items()})
+    return x
+
+
+def act(x, h):
+    """x . h for an algebra element h: the product in the extended Hecke
+    algebra, or the right action on a module element."""
+    if x.datum is not h.datum:
+        raise ValueError("elements over different root data")
+    out = type(x)(x.datum)
+    for y, p in h.support.items():
+        out = out + act_standard(x, y).scale(p)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Hecke elements
+
+
+class HeckeElem(Combination):
+    """Finitely supported map W_ext -> Z[v, v^{-1}] in the standard basis."""
+
+    __slots__ = ()
+    symbol = "H"
 
 
 def unit(datum):
@@ -270,66 +347,20 @@ def standard(w):
     return HeckeElem(w.datum, {w: one})
 
 
-def _mul_gen(a, s):
-    """Right multiplication by H_s for a generator s (length 1)."""
-    out = {}
-    for w, p in a.support.items():
-        ws = weyl.multiply(w, s)
-        if ws.length() > w.length():
-            out[ws] = out.get(ws, LaurentPoly()) + p
-        else:
-            out[ws] = out.get(ws, LaurentPoly()) + p
-            out[w] = out.get(w, LaurentPoly()) + p * (vinv - v)
-    return HeckeElem(a.datum, out)
+mul = act
 
 
-def _mul_omega(a, omega):
-    return HeckeElem(a.datum, {weyl.multiply(w, omega): p for w, p in a.support.items()})
-
-
-def mul_standard(a, y):
-    """a * H_y for a single element y (factored as W-part then Omega-part)."""
-    omega, u = weyl.omega_decompose(y)
-    # H_y = H_{omega u} = H_{u'} H_omega with u' = omega u omega^{-1} in W
-    uprime = weyl.multiply(weyl.multiply(omega, u), weyl.invert(omega))
-    gens = weyl.all_generators(a.datum)
-    out = a
-    for i in weyl.reduced_word(uprime):
-        out = _mul_gen(out, gens[i])
-    if not omega.is_identity():
-        out = _mul_omega(out, omega)
-    return out
-
-
-def mul(a, b):
-    """Product in the extended Hecke algebra."""
-    if a.datum is not b.datum:
-        raise ValueError("elements over different root data")
-    out = HeckeElem(a.datum)
-    for y, p in b.support.items():
-        out = out + mul_standard(a, y).scale(p)
-    return out
+def _bar_step(x, s):
+    # bar(H_s) = H_s^{-1} = H_s + (v - v^{-1})
+    return x.step(s) + x.scale(v - vinv)
 
 
 def _bar_standard(datum, w):
     """bar(H_w) = (H_{w^{-1}})^{-1}, memoized; bar(H_omega) = H_omega."""
-    cache = getattr(datum, "_bar_cache", None)
-    if cache is None:
-        cache = {}
-        datum._bar_cache = cache
-    if w in cache:
-        return cache[w]
-    omega, u = weyl.omega_decompose(w)
-    uprime = weyl.multiply(weyl.multiply(omega, u), weyl.invert(omega))
-    gens = weyl.all_generators(datum)
-    out = unit(datum)
-    for i in weyl.reduced_word(uprime):
-        # bar(H_s) = H_s^{-1} = H_s + (v - v^{-1})
-        out = _mul_gen(out, gens[i]) + out.scale(v - vinv)
-    if not omega.is_identity():
-        out = _mul_omega(out, omega)
-    cache[w] = out
-    return out
+    cache = datum.memo.entry("bar_standard")
+    if w not in cache:
+        cache[w] = act_standard(unit(datum), w, _bar_step)
+    return cache[w]
 
 
 def bar(a):
@@ -344,21 +375,10 @@ def bar(a):
 # Kazhdan-Lusztig basis
 
 
-_disk_cache = None
-
-
 def set_disk_cache(cache):
-    """Install a KLCache (or None) used by kl_basis for persistence."""
-    global _disk_cache
-    _disk_cache = cache
-
-
-def _kl_memo(datum):
-    memo = getattr(datum, "_kl_memo", None)
-    if memo is None:
-        memo = {}
-        datum._kl_memo = memo
-    return memo
+    """Install a KLCache for persistence of kl_basis on the datum it was
+    made for; it never answers for another datum."""
+    cache.datum.memo.put("kl_disk_cache", cache)
 
 
 def kl_basis(w):
@@ -378,11 +398,12 @@ def kl_basis(w):
 
 def _kl_w(u):
     datum = u.datum
-    memo = _kl_memo(datum)
+    memo = datum.memo.entry("kl")
     if u in memo:
         return memo[u]
-    if _disk_cache is not None:
-        got = _disk_cache.get(datum, u)
+    disk = datum.memo.entry("kl_disk_cache", lambda: None)
+    if disk is not None:
+        got = disk.get(datum, u)
         if got is not None:
             memo[u] = got
             return got
@@ -395,7 +416,7 @@ def _kl_w(u):
         uprev = weyl.multiply(u, s)
         prev = _kl_w(uprev)
         # (KL of u') * (H_s + v)
-        cand = _mul_gen(prev, s) + prev.scale(v)
+        cand = prev.step(s) + prev.scale(v)
         # subtract mu-corrections at keys y with ys < y
         corr = HeckeElem(datum)
         for y, p in sorted(cand.support.items(),
@@ -410,8 +431,8 @@ def _kl_w(u):
                     corr = corr + _kl_w(y).scale(LaurentPoly.term(mu))
         out = cand - corr
     memo[u] = out
-    if _disk_cache is not None:
-        _disk_cache.put(datum, u, out)
+    if disk is not None:
+        disk.put(datum, u, out)
     return out
 
 
@@ -553,11 +574,9 @@ class PCanonicalTable:
         if self.builtin:
             if self.basis_kind == "H":
                 return dict(kl_basis(w).support)
-            if self.basis_kind == "N":
-                from . import parabolic
-                return dict(parabolic.kl_N(w).support)
             from . import parabolic
-            return dict(parabolic.kl_M(w).support)
+            kl = parabolic.kl_N if self.basis_kind == "N" else parabolic.kl_M
+            return dict(kl(w).support)
         if w not in self.entries:
             raise KeyError("table has no column for %s" % weyl.to_text(w))
         return dict(self.entries[w])
@@ -597,15 +616,6 @@ def builtin_kl_table(datum, basis_kind="H"):
                            label="builtin-kl")
 
 
-def _canonical_column(datum, basis_kind, y):
-    if basis_kind == "H":
-        return dict(kl_basis(y).support)
-    from . import parabolic
-    if basis_kind == "N":
-        return dict(parabolic.kl_N(y).support)
-    return dict(parabolic.kl_M(y).support)
-
-
 def validate_table(table):
     """Check unitriangularity, bar self-duality and KL-positivity.
 
@@ -614,7 +624,7 @@ def validate_table(table):
     must have bar-symmetric coefficients with nonnegative integer entries.
     Raises TableValidationError naming the offending (y, w).
     """
-    datum = table.datum
+    canonical = builtin_kl_table(table.datum, table.basis_kind)
     for w in sorted(table.entries, key=weyl.sort_key):
         col = table.entries[w]
         diag = col.get(w)
@@ -649,7 +659,7 @@ def validate_table(table):
                     "positivity fails at (%s, %s): KL-coefficient %r has a "
                     "negative entry" % (weyl.to_text(y), weyl.to_text(w), c)
                 )
-            for z, p in _canonical_column(datum, table.basis_kind, y).items():
+            for z, p in canonical.column(y).items():
                 npoly = rem.get(z, LaurentPoly()) - c * p
                 if npoly.is_zero():
                     rem.pop(z, None)

@@ -9,6 +9,12 @@ indexed by w is, for a simple generator s:
 * multiplication by -v (antispherical) or +v^{-1} (spherical) if ws leaves
   the coset-minimal set.
 
+These are Soergel's rules (Represent. Theory 1, 1997); the arithmetic and
+the step live in :class:`affkl.hecke.Combination`.  Actions keep the keys
+coset-minimal by construction, so the index set is checked only where keys
+come from outside: the standard vectors, the canonical and table-driven
+columns, and the twisted embedding.
+
 The module also houses the comparison maps: xi (algebra onto antispherical),
 zeta (spherical into the algebra, injective), the distinguished antispherical
 canonical element attached to the translation by varsigma, and the central
@@ -18,7 +24,7 @@ morphism phi built from it.
 from __future__ import annotations
 
 from . import hecke, weyl
-from .hecke import HeckeElem, LaurentPoly, one, v, vinv
+from .hecke import Combination, HeckeElem, LaurentPoly, one, v, vinv
 
 __all__ = [
     "ParabolicElem",
@@ -48,52 +54,10 @@ class NotInImageError(ValueError):
     """An element is not in the image of the relevant module map."""
 
 
-class ParabolicElem:
+class ParabolicElem(Combination):
     """Finitely supported map (coset-minimal W_ext element) -> poly."""
 
-    __slots__ = ("datum", "support")
-    sign_case = None  # multiplier when ws leaves the minimal set
-
-    def __init__(self, datum, support=None):
-        self.datum = datum
-        sup = {}
-        for w, p in (support or {}).items():
-            if p.is_zero():
-                continue
-            if not weyl.is_fWext(w):
-                raise ValueError(
-                    "standard basis is indexed by coset-minimal elements; "
-                    "%s is not" % weyl.to_text(w)
-                )
-            sup[w] = p
-        self.support = sup
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.support == other.support
-
-    def is_zero(self):
-        return not self.support
-
-    def __add__(self, other):
-        out = dict(self.support)
-        for w, p in other.support.items():
-            out[w] = out.get(w, LaurentPoly()) + p
-        return type(self)(self.datum, out)
-
-    def __sub__(self, other):
-        out = dict(self.support)
-        for w, p in other.support.items():
-            out[w] = out.get(w, LaurentPoly()) - p
-        return type(self)(self.datum, out)
-
-    def scale(self, poly):
-        return type(self)(self.datum, {w: p * poly for w, p in self.support.items()})
-
-    def coeff(self, w):
-        return self.support.get(w, LaurentPoly())
-
-    def items_sorted(self):
-        return sorted(self.support.items(), key=lambda kv: weyl.sort_key(kv[0]))
+    __slots__ = ()
 
     def as_hecke(self):
         return HeckeElem(self.datum, dict(self.support))
@@ -102,87 +66,48 @@ class ParabolicElem:
         return {w: p.evaluate_at_one() for w, p in self.support.items()
                 if p.evaluate_at_one() != 0}
 
-    def __repr__(self):
-        name = "N" if isinstance(self, AsphElem) else "M"
-        if not self.support:
-            return "%sElem(0)" % name
-        return " + ".join(
-            "(%r)*%s[%s]" % (p, name, weyl.to_text(w))
-            for w, p in self.items_sorted()
-        )
-
 
 class AsphElem(ParabolicElem):
-    pass
+    __slots__ = ()
+    symbol = "N"
+    leave_factor = -v
 
 
 class SphElem(ParabolicElem):
-    pass
+    __slots__ = ()
+    symbol = "M"
+    leave_factor = vinv
+
+
+def _check_minimal(keys):
+    for w in keys:
+        if not weyl.is_fWext(w):
+            raise ValueError(
+                "standard basis is indexed by coset-minimal elements; "
+                "%s is not" % weyl.to_text(w)
+            )
 
 
 def asph_standard(w):
+    _check_minimal([w])
     return AsphElem(w.datum, {w: one})
 
 
 def sph_standard(w):
+    _check_minimal([w])
     return SphElem(w.datum, {w: one})
-
-
-def _act_gen(x, s):
-    """Right action of H_s on a parabolic element (s a length-1 generator)."""
-    asph = isinstance(x, AsphElem)
-    out = {}
-
-    def bump(w, p):
-        if not p.is_zero():
-            out[w] = out.get(w, LaurentPoly()) + p
-
-    for w, p in x.support.items():
-        ws = weyl.multiply(w, s)
-        if weyl.is_fWext(ws):
-            if ws.length() > w.length():
-                bump(ws, p)
-            else:
-                bump(ws, p)
-                bump(w, p * (vinv - v))
-        else:
-            bump(w, p * (-v if asph else vinv))
-    return type(x)(x.datum, out)
-
-
-def _act_standard(x, y):
-    """Right action of H_y for a single element y."""
-    omega, u = weyl.omega_decompose(y)
-    uprime = weyl.multiply(weyl.multiply(omega, u), weyl.invert(omega))
-    gens = weyl.all_generators(x.datum)
-    out = x
-    for i in weyl.reduced_word(uprime):
-        out = _act_gen(out, gens[i])
-    if not omega.is_identity():
-        out = type(x)(x.datum, {weyl.multiply(w, omega): p
-                                for w, p in out.support.items()})
-    return out
-
-
-def _act(x, h):
-    if x.datum is not h.datum:
-        raise ValueError("module element and algebra element disagree on datum")
-    out = type(x)(x.datum)
-    for y, p in h.support.items():
-        out = out + _act_standard(x, y).scale(p)
-    return out
 
 
 def asph_act(x, h):
     if not isinstance(x, AsphElem):
         raise TypeError("asph_act needs an antispherical element")
-    return _act(x, h)
+    return hecke.act(x, h)
 
 
 def sph_act(x, h):
     if not isinstance(x, SphElem):
         raise TypeError("sph_act needs a spherical element")
-    return _act(x, h)
+    return hecke.act(x, h)
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +116,13 @@ def sph_act(x, h):
 
 def xi(h):
     """Projection of the algebra onto the antispherical module: N_e . h."""
-    return _act(asph_standard(weyl.identity(h.datum)), h)
+    return hecke.act(asph_standard(weyl.identity(h.datum)), h)
 
 
 def zeta(m):
     """Embedding of the spherical module into the algebra:
     the image of the standard vector at w is KL(w_f) * H_w."""
-    datum = m.datum
-    wf = weyl.longest_element(datum)
-    out = HeckeElem(datum)
-    base = hecke.kl_basis(wf)
-    for w, p in m.support.items():
-        out = out + hecke.mul_standard(base, w).scale(p)
-    return out
+    return hecke.act(hecke.kl_basis(weyl.longest_element(m.datum)), m.as_hecke())
 
 
 def zeta_preimage(h):
@@ -226,8 +145,9 @@ def zeta_preimage(h):
                 "not in the image of zeta: offending term H[%s] with "
                 "coefficient %r" % (weyl.to_text(y), c)
             )
-        out = out + sph_standard(w).scale(c)
-        rem = rem - zeta(sph_standard(w).scale(c))
+        term = SphElem(datum, {w: c})
+        out = out + term
+        rem = rem - zeta(term)
     return out
 
 
@@ -255,7 +175,9 @@ def p_N(table, w):
     if not weyl.is_fWext(w):
         raise ValueError("index must be coset-minimal")
     if table.basis_kind == "N":
-        return AsphElem(table.datum, table.column(w))
+        col = table.column(w)
+        _check_minimal(col)
+        return AsphElem(table.datum, col)
     if table.basis_kind == "H":
         return xi(HeckeElem(table.datum, table.column(w)))
     raise ValueError("table of kind M cannot produce antispherical columns")
@@ -266,7 +188,9 @@ def p_M(table, w):
     if not weyl.is_fWext(w):
         raise ValueError("index must be coset-minimal")
     if table.basis_kind == "M":
-        return SphElem(table.datum, table.column(w))
+        col = table.column(w)
+        _check_minimal(col)
+        return SphElem(table.datum, col)
     if table.basis_kind == "H":
         wf = weyl.longest_element(table.datum)
         return zeta_preimage(HeckeElem(
@@ -298,7 +222,7 @@ def uN_varsigma(datum, omega=None):
         )
     if omega.is_identity():
         for s in weyl.finite_generators(datum):
-            lhs = _act(elem, hecke.kl_basis(s))
+            lhs = hecke.act(elem, hecke.kl_basis(s))
             if lhs != elem.scale(v + vinv):
                 raise AssertionError(
                     "absorption fails for a finite generator"
@@ -311,16 +235,8 @@ def phi(m):
     the spherical generator maps to the canonical element at t_varsigma."""
     if not isinstance(m, SphElem):
         raise TypeError("phi is defined on spherical elements")
-    base = _uN_cached(m.datum)
-    return _act(base, m.as_hecke())
-
-
-def _uN_cached(datum):
-    el = getattr(datum, "_uN_varsigma", None)
-    if el is None:
-        el = uN_varsigma(datum)
-        datum._uN_varsigma = el
-    return el
+    base = m.datum.memo.entry("uN_varsigma", lambda: uN_varsigma(m.datum))
+    return hecke.act(base, m.as_hecke())
 
 
 def verify_main(table, w):

@@ -21,7 +21,7 @@ substitutes the table column for the KL element.
 from __future__ import annotations
 
 from . import alcoves, hecke, weyl
-from .hecke import HeckeElem, LaurentPoly, one, v, vinv
+from .hecke import Combination, HeckeElem, LaurentPoly, one, v, vinv
 
 __all__ = [
     "PeriodicElem",
@@ -41,67 +41,38 @@ class PositivityWindowError(ValueError):
     """The expansion window is too small to triangulate; not guessed."""
 
 
-class PeriodicElem:
+class PeriodicElem(Combination):
     """Finitely supported map Alcove -> Laurent polynomial."""
 
-    __slots__ = ("datum", "support")
+    __slots__ = ()
+    symbol = ""
+    key_text = staticmethod(repr)
 
-    def __init__(self, datum, support=None):
-        self.datum = datum
-        self.support = {a: p for a, p in (support or {}).items() if not p.is_zero()}
+    @staticmethod
+    def sort_key(a):
+        return weyl.sort_key(a.elem)
 
-    def __eq__(self, other):
-        return isinstance(other, PeriodicElem) and self.support == other.support
-
-    def is_zero(self):
-        return not self.support
-
-    def __add__(self, other):
-        out = dict(self.support)
-        for a, p in other.support.items():
-            out[a] = out.get(a, LaurentPoly()) + p
+    def step(self, s):
+        """Right action of H_s = (H_s + v) - v: the alcove A goes to As,
+        plus (v^{-1} - v) A when As is generically below A."""
+        out = {}
+        for a, p in self.support.items():
+            b, below = _wall_step(self.datum, a, s)
+            out[b] = out.get(b, LaurentPoly()) + p
+            if not below:
+                out[a] = out.get(a, LaurentPoly()) + p * (vinv - v)
         return PeriodicElem(self.datum, out)
-
-    def __sub__(self, other):
-        out = dict(self.support)
-        for a, p in other.support.items():
-            out[a] = out.get(a, LaurentPoly()) - p
-        return PeriodicElem(self.datum, out)
-
-    def scale(self, poly):
-        return PeriodicElem(self.datum, {a: p * poly for a, p in self.support.items()})
-
-    def coeff(self, a):
-        return self.support.get(a, LaurentPoly())
-
-    def items_sorted(self):
-        return sorted(self.support.items(),
-                      key=lambda kv: weyl.sort_key(kv[0].elem))
-
-    def __repr__(self):
-        if not self.support:
-            return "PeriodicElem(0)"
-        return " + ".join("(%r)*[%r]" % (p, a) for a, p in self.items_sorted())
 
 
 def periodic_standard(alcove):
     return PeriodicElem(alcove.datum, {alcove: one})
 
 
-def _per_cache(datum):
-    c = getattr(datum, "_periodic_cache", None)
-    if c is None:
-        c = {"wall": {}, "std": {}}
-        datum._periodic_cache = c
-    return c
-
-
-def _wall_step(datum, a, gen_index):
-    """(neighbor alcove, True iff a is generically below it), memoized."""
-    cache = _per_cache(datum)["wall"]
-    key = (a.elem, gen_index)
+def _wall_step(datum, a, s):
+    """(neighbor alcove As, True iff A is generically below it), memoized."""
+    cache = datum.memo.entry("periodic_wall_step")
+    key = (a.elem, s)
     if key not in cache:
-        s = weyl.all_generators(datum)[gen_index]
         b = alcoves.act_right(a, s)
         cmp = alcoves.generic_leq(a, b)
         if cmp not in ("less-equal", "greater-equal"):  # pragma: no cover
@@ -110,35 +81,18 @@ def _wall_step(datum, a, gen_index):
     return cache[key]
 
 
-def _act_kl_gen(x, gen_index):
-    """Right action of the KL generator H_s + v, by the generic-order split."""
-    out = {}
-
-    def bump(a, p):
-        if not p.is_zero():
-            out[a] = out.get(a, LaurentPoly()) + p
-
-    for a, p in x.support.items():
-        b, below = _wall_step(x.datum, a, gen_index)
-        bump(b, p)
-        bump(a, p * (v if below else vinv))
-    return PeriodicElem(x.datum, out)
-
-
 def _act_standard_alcove(datum, a, u):
     """a . H_u for a single alcove, memoized along reduced-word prefixes."""
-    cache = _per_cache(datum)["std"]
+    cache = datum.memo.entry("periodic_standard_action")
     word = weyl.reduced_word(u)
     key = (a.elem, word)
     if key not in cache:
         if not word:
             cache[key] = periodic_standard(a)
         else:
-            gens = weyl.all_generators(datum)
-            prefix = weyl.multiply(u, gens[word[-1]])
-            prev = _act_standard_alcove(datum, a, prefix)
-            # H_s = (H_s + v) - v
-            cache[key] = _act_kl_gen(prev, word[-1]) - prev.scale(v)
+            s = weyl.all_generators(datum)[word[-1]]
+            prefix = weyl.multiply(u, s)
+            cache[key] = _act_standard_alcove(datum, a, prefix).step(s)
     return cache[key]
 
 

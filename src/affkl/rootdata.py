@@ -23,6 +23,7 @@ from ._intlinalg import canonical_solution, smith_normal_form, solve_int
 
 __all__ = [
     "RootDatum",
+    "MemoStore",
     "build_root_datum",
     "pair",
     "add_weights",
@@ -65,12 +66,39 @@ def scale_weight(c, x):
     return tuple(c * a for a in x)
 
 
+class MemoStore:
+    """The memo tables of one root datum.
+
+    Every layer keeps what it computes for a datum here, under its own
+    entry name.  Each datum owns its store, so nothing computed for one
+    datum can answer for another, and the memos go when the datum goes.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries = {}
+
+    def entry(self, name, build=dict):
+        """The entry ``name``, made by ``build()`` on first use (by default
+        an empty dict to memoize into)."""
+        try:
+            return self._entries[name]
+        except KeyError:
+            entry = self._entries[name] = build()
+            return entry
+
+    def put(self, name, value):
+        self._entries[name] = value
+
+
 class RootDatum:
     """Immutable root datum; see module docstring.
 
     Positive roots are stored as parallel lists ``positive_roots`` /
     ``positive_coroots`` (the coroot at index i corresponds to the root at
-    index i), together with their heights.
+    index i), together with their heights.  ``memo`` holds everything the
+    library memoizes for this datum.
     """
 
     def __init__(self, cartan, simple_roots, simple_coroots, lattice_rank, label=""):
@@ -84,6 +112,7 @@ class RootDatum:
         self._close_positive_roots()
         self._compute_constants()
         self._hash_cache = None
+        self.memo = MemoStore()
 
     # -- construction -----------------------------------------------------
 
@@ -148,6 +177,7 @@ class RootDatum:
         )
         self.positive_roots = tuple(it[0] for it in items)
         self.positive_coroots = tuple(it[1] for it in items)
+        self.positive_root_set = frozenset(self.positive_roots)
         self.root_heights = tuple(sum(it[2]) for it in items)
         self.coroot_heights = tuple(sum(it[3]) for it in items)
         self.root_coeffs = tuple(it[2] for it in items)
@@ -179,10 +209,6 @@ class RootDatum:
             self._snf_d = self._snf_p = None
 
     # -- queries -----------------------------------------------------------
-
-    def pair_simple(self, weight, i):
-        """<weight, alpha_i^vee> for the i-th simple coroot."""
-        return pair(weight, self.simple_coroots[i])
 
     def in_root_lattice(self, weight):
         """True iff the integer weight lies in the lattice spanned by the roots."""
@@ -257,16 +283,6 @@ def complexity_bounds(datum):
     lo = sum(datum.root_heights)
     n_pos = len(datum.positive_roots)
     return (lo, 2 * lo - n_pos, lo - n_pos)
-
-
-def rho(datum):
-    """Half-sum of the positive roots (tuple of Fractions)."""
-    return datum.rho
-
-
-def varsigma(datum):
-    """The canonical integer weight pairing to 1 with all simple coroots."""
-    return datum.varsigma
 
 
 def _simply_connected(cartan, label):

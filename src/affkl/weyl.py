@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rootdata import RootDatum, add_weights, neg_weight, pair, scale_weight, sub_weights
+from .rootdata import add_weights, neg_weight, pair, scale_weight, sub_weights
 
 __all__ = [
     "ExtElem",
@@ -57,23 +57,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# per-datum caches (matrices, words, Omega data)
-
-
-def _cache(datum):
-    c = getattr(datum, "_weyl_cache", None)
-    if c is None:
-        c = {
-            "inv": {},          # matrix -> inverse matrix
-            "word": {},         # element key -> reduced word (affine gens)
-            "fword": {},        # matrix -> reduced word over finite gens
-            "bruhat": {},       # (key, key) -> bool
-            "omega_by_class": {},
-            "gens": None,
-            "longest": {},
-        }
-        datum._weyl_cache = c
-    return c
+# matrices
 
 
 def _identity_matrix(m):
@@ -93,7 +77,7 @@ def _mat_mul(a, b):
 
 
 def _mat_inv(datum, mat):
-    cache = _cache(datum)["inv"]
+    cache = datum.memo.entry("matrix_inverse")
     if mat in cache:
         return cache[mat]
     n = len(mat)
@@ -202,13 +186,6 @@ def invert(x):
     )
 
 
-def multiply_all(elems):
-    out = elems[0]
-    for e in elems[1:]:
-        out = multiply(out, e)
-    return out
-
-
 def length(x):
     """Closed length formula on W_ext (see module docstring)."""
     d = x.datum
@@ -216,19 +193,11 @@ def length(x):
     for root, coroot in zip(d.positive_roots, d.positive_coroots):
         n = pair(x.trans, coroot)
         image = _mat_apply(x.fin, root)
-        if image in _positive_root_set(d):
+        if image in d.positive_root_set:
             total += abs(n)
         else:
             total += abs(1 + n)
     return total
-
-
-def _positive_root_set(datum):
-    s = getattr(datum, "_posroot_set", None)
-    if s is None:
-        s = frozenset(datum.positive_roots)
-        datum._posroot_set = s
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +258,9 @@ def affine_generators(datum):
 
 def all_generators(datum):
     """The full generating set S, affine generators first (index order)."""
-    c = _cache(datum)
-    if c["gens"] is None:
-        c["gens"] = tuple(affine_generators(datum) + finite_generators(datum))
-    return c["gens"]
+    return datum.memo.entry(
+        "generators",
+        lambda: tuple(affine_generators(datum) + finite_generators(datum)))
 
 
 def generator_names(datum):
@@ -310,25 +278,21 @@ def generator_names(datum):
 
 
 def _b0(datum):
-    b = getattr(datum, "_b0", None)
-    if b is None:
-        h = datum.coxeter_number
-        b = tuple(c / h for c in datum.rho)
-        datum._b0 = b
-    return b
+    """rho / h: the interior point of A_fund pairing to 1/h with every wall."""
+    return datum.memo.entry(
+        "b0", lambda: tuple(c / datum.coxeter_number for c in datum.rho))
 
 
 def _affine_walls(datum):
     """(root, coroot) of the highest coroot per component (affine walls)."""
-    walls = getattr(datum, "_aff_walls", None)
-    if walls is None:
+    def build():
         walls = []
         for g in affine_generators(datum):
             root = neg_weight(g.trans)
             idx = datum.positive_roots.index(root)
             walls.append((root, datum.positive_coroots[idx]))
-        datum._aff_walls = tuple(walls)
-    return walls
+        return tuple(walls)
+    return datum.memo.entry("affine_walls", build)
 
 
 def walk_to_fundamental(datum, point):
@@ -367,10 +331,7 @@ def omega_of_weight(datum, weight):
     """(omega_lambda, x_lambda): x_lambda(A_fund) = lambda + A_fund in W,
     and omega_lambda = x_lambda^{-1} t_lambda has length zero."""
     weight = tuple(weight)
-    memo = getattr(datum, "_omega_memo", None)
-    if memo is None:
-        memo = {}
-        datum._omega_memo = memo
+    memo = datum.memo.entry("omega_of_weight")
     if weight not in memo:
         y = walk_to_fundamental(datum, add_weights(weight, _b0(datum)))
         x_lambda = invert(y)
@@ -391,7 +352,7 @@ def omega_decompose(x):
     omega depends only on the class of trans(x) in X / (root lattice).
     """
     datum = x.datum
-    cache = _cache(datum)["omega_by_class"]
+    cache = datum.memo.entry("omega_by_class")
     if datum.is_semisimple:
         cls = datum.root_lattice_class(x.trans)
     else:
@@ -408,14 +369,10 @@ def omega_decompose(x):
 
 def omega_elements(datum):
     """The finite group Omega, ordered by quotient-class key (semisimple)."""
-    elems = getattr(datum, "_omega_elements", None)
-    if elems is None:
-        elems = tuple(
-            omega_of_weight(datum, rep)[0]
-            for rep in datum.quotient_representatives()
-        )
-        datum._omega_elements = elems
-    return elems
+    return datum.memo.entry("omega_elements", lambda: tuple(
+        omega_of_weight(datum, rep)[0]
+        for rep in datum.quotient_representatives()
+    ))
 
 
 def tau(datum, lam, w):
@@ -434,7 +391,7 @@ def reduced_word(x):
     Returns a tuple of generator indices into all_generators(x.datum).
     """
     datum = x.datum
-    cache = _cache(datum)["word"]
+    cache = datum.memo.entry("reduced_word")
     key = x.key()
     if key in cache:
         return cache[key]
@@ -471,13 +428,13 @@ def reduced_word(x):
 def finite_word(datum, mat):
     """Reduced word of a finite Weyl group element over s_1 .. s_n (indices
     are 1-based simple-reflection numbers)."""
-    cache = _cache(datum)["fword"]
+    cache = datum.memo.entry("finite_word")
     if mat in cache:
         return cache[mat]
     gens = finite_generators(datum)
 
     def n_inv(m):
-        pos = _positive_root_set(datum)
+        pos = datum.positive_root_set
         return sum(1 for r in datum.positive_roots if _mat_apply(m, r) not in pos)
 
     word = []
@@ -513,7 +470,7 @@ def bruhat_leq(x, y):
 
 def _bruhat_w(u, w):
     datum = u.datum
-    cache = _cache(datum)["bruhat"]
+    cache = datum.memo.entry("bruhat")
     key = (u.key(), w.key())
     if key in cache:
         return cache[key]
@@ -558,7 +515,7 @@ def longest_element(datum, indices=None):
     if indices is None:
         indices = tuple(range(1, datum.rank + 1))
     indices = tuple(sorted(indices))
-    cache = _cache(datum)["longest"]
+    cache = datum.memo.entry("longest")
     if indices in cache:
         return cache[indices]
     gens = [finite_generators(datum)[i - 1] for i in indices]
@@ -685,7 +642,11 @@ def from_text(datum, text):
             result = multiply(result, translation(datum, coords))
         elif field.startswith("omega:"):
             k = int(field[6:])
-            result = multiply(result, omega_elements(datum)[k])
+            omegas = omega_elements(datum)
+            if not 0 <= k < len(omegas):
+                raise ValueError("omega index %d out of range 0..%d"
+                                 % (k, len(omegas) - 1))
+            result = multiply(result, omegas[k])
         else:
             raise ValueError("unknown field %r" % field)
     return result

@@ -103,3 +103,21 @@ def test_output_file_roundtrip(tmp_path, capsys):
     assert code == 0
     doc = json.loads(target.read_text())
     assert doc["ok"] is True
+
+
+@pytest.mark.parametrize("elem", ["omega: 5", "omega: -1", "omega: x",
+                                  "t: (1,2)", "w: s9"])
+def test_bad_element_text_exits_2(capsys, elem):
+    code, out, err = _run(capsys, "compute", "kl", "--type", "A1",
+                          "--elem", elem)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["simplechar", "projmult", "babyverma"])
+@pytest.mark.parametrize("p", ["4", "9"])
+def test_non_prime_p_exits_2(capsys, kind, p):
+    code, out, err = _run(capsys, "compute", kind, "--type", "A1",
+                          "--weight", "6", "--p", p)
+    assert code == 2 and out == ""
+    assert "prime" in err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affkl import hecke, weyl
+from affkl import hecke, rootdata, weyl
 from affkl.hecke import (
     KLCache, LaurentPoly, PCanonicalTable, TableValidationError,
     box_normalizer, builtin_kl_table, one, v, vinv,
@@ -209,3 +209,20 @@ def test_cache_skips_corrupted_record(tmp_path, a1):
     path.write_bytes(bytes(raw))
     again = KLCache(str(path), a1)
     assert again.get(a1, w) is None  # corrupted record dropped, not trusted
+
+
+def test_disk_cache_never_answers_for_another_datum(tmp_path):
+    # element texts such as "w: s1 | t: (1,0)" name elements of both A2 and
+    # C2, so a cache shared between data would hand A2 columns to C2
+    a2 = rootdata.build_root_datum("A2")
+    cache = KLCache(str(tmp_path / "a2.klcache"), a2)
+    hecke.set_disk_cache(cache)
+    for w in weyl.enumerate_W(a2, 5):
+        hecke.kl_basis(w)
+    assert cache.mem
+    c2 = rootdata.build_root_datum("C2")
+    cache_free = rootdata.build_root_datum("C2")
+    elems = weyl.enumerate_W(c2, 5)
+    assert len(elems) == 41
+    for w, same in zip(elems, weyl.enumerate_W(cache_free, 5)):
+        assert hecke.kl_basis(w) == hecke.kl_basis(same), weyl.to_text(w)

@@ -1,5 +1,7 @@
 """Antispherical/spherical modules, comparison maps, the central morphism."""
 
+import re
+
 import pytest
 
 from affkl import hecke, parabolic, weyl
@@ -86,7 +88,7 @@ def test_canonical_asph_matches_bar_fixed_point_oracle(a1, c2):
 
 def test_canonical_asph_coefficient_cancellation(a1):
     s0, s1 = weyl.all_generators(a1)
-    w = weyl.multiply_all([s0, s1, s0])
+    w = weyl.multiply(weyl.multiply(s0, s1), s0)
     el = parabolic.kl_N(w)
     # all algebra KL coefficients die in the module except the one at s0 s1
     assert el.support == {
@@ -139,3 +141,15 @@ def test_twisted_label_and_embed(a1):
     assert weyl.is_fWext(w)
     emb = parabolic.twisted_embed(a1, lam, {weyl.identity(a1): one})
     assert set(emb.support) == {w}
+
+
+@pytest.mark.parametrize("kind, column_of", [("N", parabolic.p_N),
+                                             ("M", parabolic.p_M)])
+def test_table_column_keys_must_be_coset_minimal(a1, kind, column_of):
+    # a hand-built table is not validated, so the module map must refuse a
+    # key outside the coset-minimal set itself
+    e = weyl.identity(a1)
+    s1 = weyl.all_generators(a1)[1]
+    table = hecke.PCanonicalTable(a1, 7, kind, {e: {e: one, s1: v}})
+    with pytest.raises(ValueError, match=re.escape(weyl.to_text(s1) + " is not")):
+        column_of(table, e)

@@ -114,7 +114,7 @@ def test_text_examples(a1):
 
 def test_bruhat_examples(a1):
     s0, s1 = weyl.all_generators(a1)
-    s0s1s0 = weyl.multiply_all([s0, s1, s0])
+    s0s1s0 = weyl.multiply(weyl.multiply(s0, s1), s0)
     assert weyl.bruhat_leq(s0, s0s1s0) is True
     assert weyl.bruhat_leq(s0, s1) is False
     assert weyl.bruhat_leq(s1, s0) is False
