@@ -6,7 +6,7 @@ runs (including concurrent ones).  Reports therefore carry no timestamps or
 timings unless ``--timings`` is passed, JSON keys are sorted, and all sweeps
 iterate in the library's canonical (length, word) order.  Exit codes: 0 all
 checks pass, 1 a mathematical check is falsified, 2 configuration or data
-error.
+error, 3 internal error (an exception the library does not map to 2).
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ def _emit(doc, args):
 
 
 def _suite_lemma_rho(datum, table, args):
-    checks = []
     for omega in weyl.omega_elements(datum):
         try:
             parabolic.uN_varsigma(datum, omega)
@@ -153,12 +152,10 @@ def _suite_lemma_rho(datum, table, args):
         }
         if detail:
             chk["detail"] = detail
-        checks.append(chk)
-    return checks
+        yield chk
 
 
 def _suite_main(datum, table, args):
-    checks = []
     for w in weyl.enumerate_fWext(datum, args.max_len):
         rep = parabolic.verify_main(table, w)
         chk = {
@@ -169,12 +166,10 @@ def _suite_main(datum, table, args):
         }
         if "diff" in rep:
             chk["diff"] = rep["diff"]
-        checks.append(chk)
-    return checks
+        yield chk
 
 
 def _suite_periodic(datum, table, args):
-    checks = []
     window = alcoves.enumerate_alcoves(datum, args.max_len)
     ok = True
     detail = None
@@ -191,7 +186,7 @@ def _suite_periodic(datum, table, args):
     }
     if detail:
         chk["detail"] = detail
-    checks.append(chk)
+    yield chk
 
     ok = True
     bad = None
@@ -209,18 +204,16 @@ def _suite_periodic(datum, table, args):
     }
     if bad:
         chk["alcove"] = bad
-    checks.append(chk)
-    return checks
+    yield chk
 
 
 def _suite_orders(datum, table, args):
-    checks = []
     window = alcoves.enumerate_alcoves(datum, args.max_len)
     fund = alcoves.fundamental_alcove(datum)
 
     ok = all(alcoves.generic_leq(a, a) == "equal" for a in window)
-    checks.append({"name": "generic-order-reflexive",
-                   "status": "pass" if ok else "FAIL"})
+    yield {"name": "generic-order-reflexive",
+           "status": "pass" if ok else "FAIL"}
 
     pairs = [(a, b) for a in window for b in window if a != b][:400]
     ok = True
@@ -236,7 +229,7 @@ def _suite_orders(datum, table, args):
            "status": "pass" if ok else "FAIL"}
     if bad:
         chk["pair"] = list(bad)
-    checks.append(chk)
+    yield chk
 
     ok = True
     bad = None
@@ -254,7 +247,7 @@ def _suite_orders(datum, table, args):
            "status": "pass" if ok else "FAIL"}
     if bad:
         chk["pair"] = list(bad)
-    checks.append(chk)
+    yield chk
 
     ok = True
     for a in window[: min(len(window), 25)]:
@@ -262,13 +255,12 @@ def _suite_orders(datum, table, args):
             b = alcoves.act_right(a, s)
             if alcoves.generic_leq(a, b) not in ("less-equal", "greater-equal"):
                 ok = False
-    checks.append({"name": "wall-neighbors-comparable",
-                   "status": "pass" if ok else "FAIL"})
+    yield {"name": "wall-neighbors-comparable",
+           "status": "pass" if ok else "FAIL"}
 
     ok = alcoves.is_dominant(fund) and alcoves.to_weyl(fund).is_identity()
-    checks.append({"name": "fundamental-alcove-dominant",
-                   "status": "pass" if ok else "FAIL"})
-    return checks
+    yield {"name": "fundamental-alcove-dominant",
+           "status": "pass" if ok else "FAIL"}
 
 
 _SUITES = {
@@ -288,14 +280,15 @@ def cmd_verify(args):
     report["suite"] = args.suite
     report["checks"] = []
     for name in names:
+        # each check is timed from the end of the one before it
         t0 = time.monotonic()
-        checks = _SUITES[name](datum, table, args)
-        dt = time.monotonic() - t0
-        for chk in checks:
+        for chk in _SUITES[name](datum, table, args):
             chk["suite"] = name
             if args.timings:
-                chk["seconds"] = round(dt / max(1, len(checks)), 6)
-        report["checks"].extend(checks)
+                t1 = time.monotonic()
+                chk["seconds"] = round(t1 - t0, 6)
+                t0 = t1
+            report["checks"].append(chk)
     report["ok"] = all(c["status"] == "pass" for c in report["checks"])
     _emit(report, args)
     return 0 if report["ok"] else 1
@@ -606,6 +599,9 @@ def build_parser():
         prog="affkl",
         description="Exact alcove/Hecke-algebra combinatorics and the "
                     "character-formula verification suites built on it.",
+        epilog="exit codes: 0 all checks pass / result computed, 1 a "
+               "mathematical check is falsified, 2 configuration or input "
+               "error, 3 internal error",
     )
     top.add_argument("--version", action="version",
                      version="affkl %s" % __version__)
@@ -618,7 +614,8 @@ def build_parser():
     pv.add_argument("--max-len", dest="max_len", type=int, default=4,
                     help="length bound for element/alcove sweeps")
     pv.add_argument("--timings", action="store_true",
-                    help="include wall-clock timings (non-deterministic)")
+                    help="give each check the seconds it took "
+                         "(non-deterministic)")
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("compute", help="print one basis element or table")
@@ -657,6 +654,10 @@ def main(argv=None):
             ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - never let a traceback exit 1
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,6 +6,12 @@ generic order on alcoves: for a KL generator attached to s,
     A . (H_s + v) = As + v A      if A is generically below As,
     A . (H_s + v) = As + v^{-1} A if As is generically below A.
 
+Wall neighbours need no general comparison: A lies generically below As
+exactly when As is on the positive side of their common wall.  For
+A = x(A_fund) with finite part w, the barycenters differ by
+w(s(b0) - b0), a multiple of the wall's root, so the side is the sign of
+its pairing with the sum of the positive coroots.
+
 Translation by a weight acts on alcoves directly; it is not linear over the
 algebra action but twists it by the conjugation automorphism of the
 generating set (tested as a law in the suite).
@@ -21,7 +27,8 @@ substitutes the table column for the KL element.
 from __future__ import annotations
 
 from . import alcoves, hecke, weyl
-from .hecke import Combination, HeckeElem, LaurentPoly, one, v, vinv
+from .hecke import Combination, HeckeElem, LaurentPoly, one
+from .rootdata import pair
 
 __all__ = [
     "PeriodicElem",
@@ -58,26 +65,68 @@ class PeriodicElem(Combination):
         out = {}
         for a, p in self.support.items():
             b, below = _wall_step(self.datum, a, s)
-            out[b] = out.get(b, LaurentPoly()) + p
-            if not below:
-                out[a] = out.get(a, LaurentPoly()) + p * (vinv - v)
-        return PeriodicElem(self.datum, out)
+            _accumulate(out, b, p)
+            if not below:  # (v^{-1} - v) p
+                _accumulate(out, a, p, -1)
+                _accumulate(out, a, p, 1, -1)
+        return _from_accumulated(self.datum, out)
+
+
+def _accumulate(out, key, p, shift=0, sign=1):
+    """Add sign * v^shift * p into the exponent -> int map out[key]."""
+    acc = out.get(key)
+    if acc is None:
+        acc = out[key] = {}
+    for e, c in p.coeffs.items():
+        e += shift
+        acc[e] = acc.get(e, 0) + sign * c
+
+
+def _from_accumulated(datum, out):
+    """The PeriodicElem of an alcove -> (exponent -> int) map, building each
+    coefficient polynomial once."""
+    return PeriodicElem(datum, {a: LaurentPoly(acc) for a, acc in out.items()})
 
 
 def periodic_standard(alcove):
     return PeriodicElem(alcove.datum, {alcove: one})
 
 
+def _wall_shifts(datum):
+    """Per generator s, the integer vector h (s(b0) - b0) (a root multiple,
+    h the Coxeter number), and the sum of the positive coroots."""
+    def build():
+        b0 = weyl._b0(datum)
+        h = datum.coxeter_number
+        shifts = {}
+        for s in weyl.all_generators(datum):
+            diff = tuple(h * (x - y) for x, y in zip(s.apply(b0), b0))
+            if any(x.denominator != 1 for x in diff):  # pragma: no cover
+                raise RuntimeError("h (s(b0) - b0) is not integral")
+            shifts[s] = tuple(int(x) for x in diff)
+        rho2 = tuple(map(sum, zip(*datum.positive_coroots)))
+        return shifts, rho2
+    return datum.memo.entry("periodic_wall_shifts", build)
+
+
 def _wall_step(datum, a, s):
-    """(neighbor alcove As, True iff A is generically below it), memoized."""
+    """(neighbor alcove As, True iff A is generically below it), memoized.
+
+    The side comes from the closed form in the module docstring.  For
+    A = x(A_fund), x s lies in the non-extended group, so As = x s(A_fund)
+    needs no set-stabilizing rewrite.
+    """
     cache = datum.memo.entry("periodic_wall_step")
     key = (a.elem, s)
     if key not in cache:
-        b = alcoves.act_right(a, s)
-        cmp = alcoves.generic_leq(a, b)
-        if cmp not in ("less-equal", "greater-equal"):  # pragma: no cover
-            raise RuntimeError("wall neighbors are not comparable")
-        cache[key] = (b, cmp == "less-equal")
+        shifts, rho2 = _wall_shifts(datum)
+        side = pair(weyl._mat_apply(a.elem.fin, shifts[s]), rho2)
+        if side == 0:
+            raise RuntimeError(
+                "barycenter shift lies on a wall; internal consistency "
+                "failure at %r" % a
+            )
+        cache[key] = (alcoves.Alcove(weyl.multiply(a.elem, s)), side > 0)
     return cache[key]
 
 
@@ -102,19 +151,21 @@ def per_act(x, h):
         raise ValueError("periodic element and algebra element disagree on datum")
     out = {}
     for y, q in h.support.items():
-        omega, u = weyl.omega_decompose(y)
-        if not omega.is_identity():
+        if not weyl._in_root_lattice(x.datum, y.trans):  # y not in W
             raise ValueError(
                 "the periodic action is defined for the non-extended algebra"
             )
         for a, p in x.support.items():
-            for b, r in _act_standard_alcove(x.datum, a, u).support.items():
-                acc = out.get(b, LaurentPoly()) + p * q * r
-                if acc.is_zero():
-                    out.pop(b, None)
-                else:
-                    out[b] = acc
-    return PeriodicElem(x.datum, out)
+            pq = (p * q).coeffs.items()
+            for b, r in _act_standard_alcove(x.datum, a, y).support.items():
+                acc = out.get(b)
+                if acc is None:
+                    acc = out[b] = {}
+                for e2, c2 in r.coeffs.items():
+                    for e1, c1 in pq:
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + c1 * c2
+    return _from_accumulated(x.datum, out)
 
 
 def per_translate(x, mu):
@@ -127,12 +178,17 @@ def per_translate(x, mu):
 
 def canonical_P_fund(datum, mu):
     """The canonical element at the translated fundamental alcove:
-    sum over the finite Weyl group of v^{l(x)} (x(A_fund) + mu)."""
-    out = {}
-    for x in hecke._finite_elements(datum):
-        a = alcoves.translate(alcoves.from_weyl(x), mu)
-        out[a] = LaurentPoly.term(1, x.length())
-    return PeriodicElem(datum, out)
+    sum over the finite Weyl group of v^{l(x)} (x(A_fund) + mu), memoized
+    per box weight mu."""
+    cache = datum.memo.entry("periodic_canonical_fund")
+    mu = tuple(mu)
+    if mu not in cache:
+        out = {}
+        for x in hecke._finite_elements(datum):
+            a = alcoves.translate(alcoves.from_weyl(x), mu)
+            out[a] = LaurentPoly.term(1, x.length())
+        cache[mu] = PeriodicElem(datum, out)
+    return cache[mu]
 
 
 def _lusztig_formula(alcove, column_elem):

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affkl import alcoves, characters as ch, hecke, parabolic, weyl
+from affkl import alcoves, characters as ch, hecke, parabolic, rootdata, weyl
 from oracles import sl2_simple_character
 
 
 # -- the two routes to the baby Verma multiplicities of an alcove -------------
 
 
-def test_q_routes_agree(a1, a1_table, c2, c2_table):
-    for d, table, bound in ((a1, a1_table, 6), (c2, c2_table, 4)):
+def test_q_routes_agree(a1, a1_table, a2, a2_table, c2, c2_table):
+    g2 = rootdata.build_root_datum("G2")
+    for d, table, bound in ((a1, a1_table, 6), (a2, a2_table, 4),
+                            (c2, c2_table, 4),
+                            (g2, hecke.builtin_kl_table(g2), 4)):
         for a in alcoves.enumerate_alcoves(d, bound):
             assert ch.q_of_alcove(table, a) == ch.q_via_coset_sum(table, a), a
 

@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, report shape, drawing, determinism."""
 
 import json
+import time
 
 import pytest
 
+from affkl import periodic
 from affkl.cli import main
 
 
@@ -121,3 +123,36 @@ def test_non_prime_p_exits_2(capsys, kind, p):
                           "--weight", "6", "--p", p)
     assert code == 2 and out == ""
     assert "prime" in err
+
+
+def _raise_internal(*args):
+    raise RuntimeError("injected failure")
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(periodic, "p_canonical_P", _raise_internal)
+    code, out, err = _run(capsys, "compute", "periodic", "--type", "A1",
+                          "--alcove", "s0")
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: injected failure\n"
+
+
+def test_check_reporting_an_internal_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(periodic, "p_canonical_P", _raise_internal)
+    code, out, _ = _run(capsys, "verify", "periodic", "--type", "A1",
+                        "--max-len", "2")
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "normalizer-division-exact"
+    assert check["status"] == "FAIL" and check["detail"] == "injected failure"
+
+
+def test_timings_are_measured_per_check(capsys):
+    start = time.monotonic()
+    code, out, _ = _run(capsys, "verify", "main", "--type", "A1",
+                        "--max-len", "6", "--timings")
+    wall = time.monotonic() - start
+    assert code == 0
+    seconds = [c["seconds"] for c in json.loads(out)["checks"]]
+    assert len(set(seconds)) > 1
+    assert sum(seconds) <= wall

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affkl import alcoves, hecke, periodic, weyl
+from affkl import alcoves, hecke, periodic, rootdata, weyl
 from affkl.hecke import LaurentPoly, one, v
 
 
@@ -37,6 +37,30 @@ def test_action_case_split(a1):
     assert acted2.coeff(fund) == one
     assert acted2.coeff(below) == LaurentPoly.term(1, 1)
 
+
+
+@pytest.mark.parametrize("label, bound", [("A1", 8), ("A2", 4), ("C2", 4),
+                                          ("G2", 3), ("B3", 2)])
+def test_wall_step_matches_generic_order(label, bound):
+    """The closed-form wall side agrees with the generic order for every
+    alcove of the window and every generator.  Fresh data, so that no memo
+    is shared with other tests."""
+    d = rootdata.build_root_datum(label)
+    for a in alcoves.enumerate_alcoves(d, bound):
+        for s in weyl.all_generators(d):
+            b, below = periodic._wall_step(d, a, s)
+            assert b == alcoves.act_right(a, s)
+            assert below == (alcoves.generic_leq(a, b) == "less-equal"), (a, s)
+
+
+def test_wall_step_refuses_a_shift_on_the_wall():
+    d = rootdata.build_root_datum("A1")
+    shifts, rho2 = periodic._wall_shifts(d)
+    d.memo.put("periodic_wall_shifts",
+               ({s: (0,) * d.lattice_rank for s in shifts}, rho2))
+    fund = alcoves.fundamental_alcove(d)
+    with pytest.raises(RuntimeError):
+        periodic._wall_step(d, fund, weyl.all_generators(d)[0])
 
 def test_action_satisfies_quadratic_relation(a2):
     fund = alcoves.fundamental_alcove(a2)
