@@ -272,6 +272,8 @@ _SUITES = {
 
 
 def cmd_verify(args):
+    if args.max_len < 0:
+        raise ConfigError("--max-len must be >= 0, got %d" % args.max_len)
     datum = _build_datum(args)
     _attach_cache(datum)
     table = _build_table(datum, args)

@@ -130,18 +130,18 @@ def _wall_step(datum, a, s):
     return cache[key]
 
 
-def _act_standard_alcove(datum, a, u):
-    """a . H_u for a single alcove, memoized along reduced-word prefixes."""
+def _act_standard_alcove(datum, a, word):
+    """a . H_u for a single alcove, u given by its reduced word (as from
+    weyl.reduced_word), memoized along prefixes: dropping the last letter
+    s of the lex-minimal reduced word of u gives that of u s."""
     cache = datum.memo.entry("periodic_standard_action")
-    word = weyl.reduced_word(u)
     key = (a.elem, word)
     if key not in cache:
         if not word:
             cache[key] = periodic_standard(a)
         else:
             s = weyl.all_generators(datum)[word[-1]]
-            prefix = weyl.multiply(u, s)
-            cache[key] = _act_standard_alcove(datum, a, prefix).step(s)
+            cache[key] = _act_standard_alcove(datum, a, word[:-1]).step(s)
     return cache[key]
 
 
@@ -155,9 +155,10 @@ def per_act(x, h):
             raise ValueError(
                 "the periodic action is defined for the non-extended algebra"
             )
+        word = weyl.reduced_word(y)
         for a, p in x.support.items():
             pq = (p * q).coeffs.items()
-            for b, r in _act_standard_alcove(x.datum, a, y).support.items():
+            for b, r in _act_standard_alcove(x.datum, a, word).support.items():
                 acc = out.get(b)
                 if acc is None:
                     acc = out[b] = {}

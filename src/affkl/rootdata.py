@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from ._intlinalg import canonical_solution, smith_normal_form, solve_int
@@ -308,8 +309,9 @@ def build_root_datum(spec):
     type_name = spec.get("type")
     cartan = spec.get("cartan")
     if type_name:
-        name = type_name.rstrip("~")
-        key = (name[0].upper(), int(name[1:]))
+        name = type_name.rstrip("~") if isinstance(type_name, str) else ""
+        parts = re.fullmatch(r"([A-Za-z])([0-9]+)", name)
+        key = parts and (parts[1].upper(), int(parts[2]))
         if key not in _NAMED_CARTAN:
             raise ValueError("unknown type %r" % type_name)
         named = _NAMED_CARTAN[key]

@@ -18,6 +18,7 @@ Hecke-algebra recursions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .rootdata import add_weights, neg_weight, pair, scale_weight, sub_weights
@@ -296,35 +297,35 @@ def _affine_walls(datum):
 
 
 def walk_to_fundamental(datum, point):
-    """Return y in W with y(point) inside the closed fundamental alcove."""
+    """Return y in W with y(point) inside the closed fundamental alcove.
+
+    The walk runs on D * point, D the common denominator of the point's
+    coordinates, so every wall test is an integer comparison: the simple
+    wall of c is crossed when <q, c> < 0, the affine wall of c when
+    <q, c> > D, and a generator w t_l sends q to w(q + D l).
+    """
     gens = all_generators(datum)
     n_aff = len(_components(datum))
+    point = tuple(Fraction(c) for c in point)
+    scale = math.lcm(*(c.denominator for c in point))
+    q = tuple(c.numerator * (scale // c.denominator) for c in point)
+    simple = [(c, gens[n_aff + i])
+              for i, c in enumerate(datum.simple_coroots)]
+    affine = [(coroot, gens[j])
+              for j, (_, coroot) in enumerate(_affine_walls(datum))]
     y = identity(datum)
-    q = tuple(Fraction(c) for c in point)
     guard = 0
     while True:
         guard += 1
         if guard > 100000:
             raise RuntimeError("alcove walk does not terminate")
-        moved = False
-        for i in range(datum.rank):
-            if pair(q, datum.simple_coroots[i]) < 0:
-                g = gens[n_aff + i]
-                q = g.apply(q)
-                y = multiply(g, y)
-                moved = True
-                break
-        if moved:
-            continue
-        for j, (_, coroot) in enumerate(_affine_walls(datum)):
-            if pair(q, coroot) > 1:
-                g = gens[j]
-                q = g.apply(q)
-                y = multiply(g, y)
-                moved = True
-                break
-        if not moved:
-            return y
+        g = next((g for c, g in simple if pair(q, c) < 0), None)
+        if g is None:
+            g = next((g for c, g in affine if pair(q, c) > scale), None)
+            if g is None:
+                return y
+        q = _mat_apply(g.fin, tuple(a + scale * t for a, t in zip(q, g.trans)))
+        y = multiply(g, y)
 
 
 def omega_of_weight(datum, weight):
@@ -560,6 +561,8 @@ def is_restricted(w, datum=None):
 
 def enumerate_W(datum, max_len):
     """All W-elements of length <= max_len in (length, lex word) order."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0, got %d" % max_len)
     gens = all_generators(datum)
     out = [identity(datum)]
     level = {identity(datum): ()}

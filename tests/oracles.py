@@ -10,12 +10,19 @@ production algorithm, so agreement is evidence rather than tautology:
   unitriangularity), using only standard-basis multiplication.
 * ``asph_bar_fixed_point`` does the same inside the antispherical module.
 * ``sl2_simple_character`` is the closed-form rank-1 simple character.
+* ``generic_leq_by_stepping`` finds the dominant translate of two alcoves
+  by stepping m = 0, 1, 2, ... and re-checks the verdict two steps further.
+* ``walk_to_fundamental_by_fractions`` walks a point into the fundamental
+  alcove in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-from affkl import hecke, parabolic, weyl
+from fractions import Fraction
+
+from affkl import alcoves, hecke, parabolic, weyl
 from affkl.hecke import LaurentPoly
+from affkl.rootdata import pair, scale_weight
 
 
 def bfs_lengths(datum, max_len):
@@ -118,3 +125,54 @@ def sl2_simple_character(lam, p):
             for s in (p, -p):
                 full[w + s] = full.get(w + s, 0) + 1
     return {(w,): m for w, m in full.items() if w >= 0}
+
+
+def generic_leq_by_stepping(a, b):
+    """The generic order from its definition: translate both alcoves by
+    m * varsigma for m = 0, 1, 2, ... until both are dominant and compare
+    the Bruhat images there.  The verdict must not change at m + 1 and
+    m + 2; a change raises AssertionError."""
+    if a == b:
+        return "equal"
+    datum = a.datum
+
+    def verdict(m):
+        mu = scale_weight(m, datum.varsigma)
+        ta, tb = alcoves.translate(a, mu), alcoves.translate(b, mu)
+        if not (alcoves.is_dominant(ta) and alcoves.is_dominant(tb)):
+            return None
+        if weyl.bruhat_leq(ta.elem, tb.elem):
+            return "less-equal"
+        if weyl.bruhat_leq(tb.elem, ta.elem):
+            return "greater-equal"
+        return "incomparable"
+
+    m, v = 0, verdict(0)
+    while v is None:
+        m += 1
+        assert m <= 10000, "no dominant translate found"
+        v = verdict(m)
+    assert verdict(m + 1) == v and verdict(m + 2) == v, \
+        "generic order changed past the first dominant translate"
+    return v
+
+
+def walk_to_fundamental_by_fractions(datum, point):
+    """y in W with y(point) in the closed fundamental alcove: repeatedly
+    reflect in the first simple wall with <q, c> < 0, else in the first
+    affine wall with <q, c> > 1, all on the rational point itself."""
+    gens = weyl.all_generators(datum)
+    n_aff = len(gens) - datum.rank
+    simple = [(c, gens[n_aff + i]) for i, c in enumerate(datum.simple_coroots)]
+    affine = [(c, gens[j]) for j, (_, c) in enumerate(weyl._affine_walls(datum))]
+    y = weyl.identity(datum)
+    q = tuple(Fraction(c) for c in point)
+    for _ in range(100000):
+        crossed = next((g for c, g in simple if pair(q, c) < 0), None)
+        if crossed is None:
+            crossed = next((g for c, g in affine if pair(q, c) > 1), None)
+        if crossed is None:
+            return y
+        q = crossed.apply(q)
+        y = weyl.multiply(crossed, y)
+    raise AssertionError("alcove walk does not terminate")

@@ -1,11 +1,14 @@
 """Alcove geometry: actions, box representatives, hat/check, generic order."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affkl import alcoves, weyl
+from affkl import alcoves, rootdata, weyl
 from affkl.rootdata import neg_weight, pair
+from oracles import generic_leq_by_stepping
 
 
 def _alcove_strategy(datum, max_word=5):
@@ -123,3 +126,25 @@ def test_wall_neighbors_always_comparable(c2):
             b = alcoves.act_right(a, s)
             assert alcoves.generic_leq(a, b) in ("less-equal",
                                                  "greater-equal")
+
+
+@pytest.mark.parametrize("label, bound, sample", [
+    ("A1", 8, None), ("A2", 4, None), ("C2", 4, None),
+    ("G2", 3, 150), ("B3", 2, 150)])
+def test_generic_leq_matches_stepping_oracle(label, bound, sample):
+    """The closed-form dominant shift gives the stepping verdict on every
+    ordered pair of the window (a seeded sample of pairs on G2 and B3).
+    The oracle runs on a second datum, so no memo is shared."""
+    d = rootdata.build_root_datum(label)
+    d_oracle = rootdata.build_root_datum(label)
+    window = alcoves.enumerate_alcoves(d, bound)
+    pairs = [(a, b) for a in window for b in window]
+    if sample is not None:
+        pairs = random.Random(label).sample(pairs, sample)
+
+    def on_oracle(a):
+        return alcoves.Alcove(weyl.ExtElem(d_oracle, a.elem.fin, a.elem.trans))
+
+    for a, b in pairs:
+        assert alcoves.generic_leq(a, b) \
+            == generic_leq_by_stepping(on_oracle(a), on_oracle(b)), (a, b)

@@ -45,6 +45,28 @@ def test_invalid_datum_exits_2(capsys):
     assert "Q9" in err
 
 
+@pytest.mark.parametrize("label", ["A", "Ax", "3"])
+def test_malformed_type_exits_2(capsys, label):
+    code, out, err = _run(capsys, "compute", "bounds", "--type", label)
+    assert code == 2 and out == ""
+    assert err == "error: unknown type %r\n" % label
+
+
+@pytest.mark.parametrize("suite", ["orders", "main", "periodic", "all"])
+def test_negative_max_len_exits_2(capsys, suite):
+    code, out, err = _run(capsys, "verify", suite, "--type", "A1",
+                          "--max-len", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --max-len must be >= 0, got -1\n"
+
+
+def test_max_len_zero_is_valid(capsys):
+    code, out, _ = _run(capsys, "verify", "main", "--type", "A1",
+                        "--max-len", "0")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_missing_datum_exits_2(capsys):
     code, _, _ = _run(capsys, "compute", "bounds")
     assert code == 2

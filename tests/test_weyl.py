@@ -1,11 +1,15 @@
 """Extended affine Weyl group: lengths, words, decompositions, orders."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affkl import weyl
-from oracles import bfs_lengths
+from affkl import rootdata, weyl
+from affkl.rootdata import pair
+from oracles import bfs_lengths, walk_to_fundamental_by_fractions
 
 
 def _elem_strategy(datum, max_word=6):
@@ -96,6 +100,19 @@ def test_reduced_word_has_length_many(a2):
         assert rebuilt == x
 
 
+@pytest.mark.parametrize("label, bound", [("A1", 8), ("A2", 5), ("C2", 5),
+                                          ("G2", 4), ("B3", 3)])
+def test_reduced_word_of_prefix_drops_the_last_letter(label, bound):
+    """The lex-minimal reduced word of y s, for s the last letter of the
+    lex-minimal reduced word of y, is that word without its last letter."""
+    d = rootdata.build_root_datum(label)
+    gens = weyl.all_generators(d)
+    for y in weyl.enumerate_W(d, bound)[1:]:
+        word = weyl.reduced_word(y)
+        assert weyl.reduced_word(weyl.multiply(y, gens[word[-1]])) \
+            == word[:-1], weyl.to_text(y)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_text_roundtrip(c2, data):
@@ -163,3 +180,27 @@ def test_restricted_box_membership_is_p_independent(a1):
         lam = weyl.dot_p(w, (0,), 11)
         in_box = all(0 <= weyl.pair(lam, c) <= 10 for c in a1.simple_coroots)
         assert weyl.is_restricted(w) == in_box
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3",
+                                   "G2"])
+def test_walk_to_fundamental_matches_fraction_walk(label):
+    """The integer alcove walk takes the rational walk's path: same y on
+    seeded random rational points, and y(point) in the closed alcove."""
+    d = rootdata.build_root_datum(label)
+    rng = random.Random(label)
+    walls = weyl._affine_walls(d)
+    for _ in range(300):
+        point = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+                      for _ in range(d.lattice_rank))
+        y = weyl.walk_to_fundamental(d, point)
+        assert y == walk_to_fundamental_by_fractions(d, point), point
+        image = y.apply(point)
+        assert all(pair(image, c) >= 0 for c in d.simple_coroots)
+        assert all(pair(image, c) <= 1 for _, c in walls)
+
+
+def test_enumerate_W_refuses_a_negative_length(a1):
+    assert weyl.enumerate_W(a1, 0) == [weyl.identity(a1)]
+    with pytest.raises(ValueError):
+        weyl.enumerate_W(a1, -1)
