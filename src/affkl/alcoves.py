@@ -63,7 +63,7 @@ class Alcove:
         return isinstance(other, Alcove) and self.elem == other.elem
 
     def __hash__(self):
-        return hash(("alcove", self.elem))
+        return hash(self.elem)
 
     def __repr__(self):
         return "Alcove(%s)" % weyl.to_text(self.elem)

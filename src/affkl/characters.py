@@ -123,6 +123,16 @@ def _check_prime(p):
         raise ValueError("p must be a prime, got %d" % p)
 
 
+def _check_weight(datum, lam):
+    """Refuse a weight whose length is not the lattice rank (zip would
+    silently truncate it)."""
+    if len(lam) != datum.lattice_rank:
+        raise ValueError(
+            "weight %s has %d coordinates; the lattice has rank %d"
+            % (tuple(lam), len(lam), datum.lattice_rank)
+        )
+
+
 def is_steinberg_type(datum, lam, p):
     """True iff lam is congruent to (p-1) * varsigma modulo p * X."""
     diff = sub_weights(lam, scale_weight(p - 1, datum.varsigma))
@@ -136,13 +146,19 @@ def _is_regular(datum, lam, p):
 
 def block_position(datum, lam, p):
     """(base, w): the unique weight of the block inside the fundamental
-    p-alcove and the element with w dot_p base == lam.  Regular weights only."""
+    p-alcove and the element with w dot_p base == lam.  Regular weights
+    only; memoized per (lam, p)."""
+    lam = tuple(lam)
+    _check_weight(datum, lam)
     if not _is_regular(datum, lam, p):
         raise ValueError("weight lies on a p-wall; its block is singular")
-    point = tuple(Fraction(c, p) for c in add_weights(lam, datum.varsigma))
-    y = weyl.walk_to_fundamental(datum, point)
-    base = weyl.dot_p(y, lam, p)
-    return base, weyl.invert(y)
+    cache = datum.memo.entry("characters_block_position")
+    key = (lam, p)
+    if key not in cache:
+        point = tuple(Fraction(c, p) for c in add_weights(lam, datum.varsigma))
+        y = weyl.walk_to_fundamental(datum, point)
+        cache[key] = (weyl.dot_p(y, lam, p), weyl.invert(y))
+    return cache[key]
 
 
 def _normalizing_shift(datum, w, p):
@@ -191,24 +207,30 @@ def projective_multiplicities_weight(table, lam, p):
     Steinberg-type weights give the single-entry row {lam: 1} (there the
     projective cover, the baby Verma and the simple module all coincide).
     Regular weights are normalized by a p X translation into the theorem's
-    hypotheses; other singular weights are refused.
+    hypotheses; other singular weights are refused.  Rows are memoized per
+    (table, lam, p); a table is not changed once loaded.
     """
     datum = table.datum
     lam = tuple(lam)
+    _check_weight(datum, lam)
     if p < 2 * datum.coxeter_number - 1:
         raise ValueError("needs p >= 2h - 1")
     _check_prime(p)
     if is_steinberg_type(datum, lam, p):
         return {lam: 1}
     base, w = block_position(datum, lam, p)
-    mu = _normalizing_shift(datum, w, p)
-    w2 = weyl.multiply(weyl.translation(datum, mu), w)
-    row = projective_multiplicities(table, w2)
-    shift = scale_weight(p, mu)
-    return {
-        sub_weights(weyl.dot_p(y, base, p), shift): val
-        for y, val in row.items()
-    }
+    cache = datum.memo.entry("characters_projective_row")
+    key = (table, lam, p)
+    if key not in cache:
+        mu = _normalizing_shift(datum, w, p)
+        w2 = weyl.multiply(weyl.translation(datum, mu), w)
+        row = projective_multiplicities(table, w2)
+        shift = scale_weight(p, mu)
+        cache[key] = {
+            sub_weights(weyl.dot_p(y, base, p), shift): val
+            for y, val in row.items()
+        }
+    return dict(cache[key])  # the caller's own copy
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +342,7 @@ def reciprocity_invert(datum, mt):
 def baby_verma_character(datum, lam, p):
     """ch Z-hat(lam): e(lam) times the product over positive roots of
     (1 + e(-a) + ... + e(-(p-1)a)); total mass p^(number of positive roots)."""
+    _check_weight(datum, lam)
     if p < 2:
         raise ValueError("p must be at least 2")
     _check_prime(p)
@@ -379,7 +402,7 @@ def _simple_has_dominant_weight(datum, lam, p):
     )
 
 
-def simple_character(table, lam, p, _memo=None, _stack=None):
+def simple_character(table, lam, p):
     """Dominant part of the character of the simple module at a weight.
 
     Accepts a weight tuple or an extended-group element (read as the label
@@ -387,20 +410,34 @@ def simple_character(table, lam, p, _memo=None, _stack=None):
     rows: ch L-hat(lam) = ch Z-hat(lam) - sum over lower block weights x of
     (Q-hat(x) : Z-hat(lam)) * ch L-hat(x), restricted pointwise to dominant
     weights; corrections whose simple module has no dominant weight drop out.
+    Results are memoized per (table, p) and weight; a table is not changed
+    once loaded.
     """
     datum = table.datum
     if isinstance(lam, weyl.ExtElem):
         lam = weyl.dot_p(lam, (0,) * datum.lattice_rank, p)
     lam = tuple(lam)
+    _check_weight(datum, lam)
     if p < 2 * datum.coxeter_number - 1:
         raise ValueError("needs p >= 2h - 1")
     _check_prime(p)
-    if is_steinberg_type(datum, lam, p):
-        return dominant_part(datum, baby_verma_character(datum, lam, p))
-    if not _is_regular(datum, lam, p):
+    steinberg = is_steinberg_type(datum, lam, p)
+    if not steinberg and not _is_regular(datum, lam, p):
         raise ValueError("singular non-Steinberg weights are not supported")
-    memo = {} if _memo is None else _memo
-    stack = set() if _stack is None else _stack
+    memo = datum.memo.entry("characters_simple_character").setdefault(
+        (table, p), {})
+    if lam not in memo:
+        if steinberg:
+            memo[lam] = dominant_part(datum, baby_verma_character(datum, lam, p))
+        else:
+            _simple_character(table, lam, p, memo, set())
+    return dict(memo[lam])  # the caller's own copy
+
+
+def _simple_character(table, lam, p, memo, stack):
+    """The inversion for a regular weight; ``memo`` keeps the results
+    (lam -> character), ``stack`` the weights being computed in this call."""
+    datum = table.datum
     if lam in memo:
         return memo[lam]
     if lam in stack:
@@ -416,7 +453,7 @@ def simple_character(table, lam, p, _memo=None, _stack=None):
             continue
         if not _simple_has_dominant_weight(datum, x, p):
             continue
-        sub = simple_character(table, x, p, memo, stack)
+        sub = _simple_character(table, x, p, memo, stack)
         for wt, m in sub.items():
             out[wt] = out.get(wt, 0) - mult * m
     out = {wt: m for wt, m in out.items() if m}

@@ -555,6 +555,8 @@ def _draw_tikz(polys, labels_at):
 
 
 def cmd_draw(args):
+    if args.bound < 0:
+        raise ConfigError("--bound must be >= 0, got %d" % args.bound)
     datum = _build_datum(args)
     if datum.lattice_rank != 2 or datum.rank != 2:
         raise ConfigError("drawing needs a rank-2 semisimple datum")

@@ -120,6 +120,18 @@ def test_simple_character_refuses_small_p(a1, a1_table):
         ch.simple_character(a1_table, (0,), 2)
 
 
+@pytest.mark.parametrize("query", [
+    lambda d, t: ch.simple_character(t, (1, 2), 5),
+    lambda d, t: ch.projective_multiplicities_weight(t, (1, 2, 3), 5),
+    lambda d, t: ch.baby_verma_character(d, (1, 2), 5),
+    lambda d, t: ch.block_position(d, (1, 2), 5),
+], ids=["simple_character", "projective_multiplicities_weight",
+        "baby_verma_character", "block_position"])
+def test_wrong_dimension_weight_is_refused(a1, a1_table, query):
+    with pytest.raises(ValueError, match="lattice has rank 1"):
+        query(a1, a1_table)
+
+
 # -- reciprocity ----------------------------------------------------------------
 
 

@@ -52,6 +52,12 @@ def test_malformed_type_exits_2(capsys, label):
     assert err == "error: unknown type %r\n" % label
 
 
+def test_negative_draw_bound_exits_2(capsys):
+    code, out, err = _run(capsys, "draw", "--type", "A2", "--bound", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --bound must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("suite", ["orders", "main", "periodic", "all"])
 def test_negative_max_len_exits_2(capsys, suite):
     code, out, err = _run(capsys, "verify", suite, "--type", "A1",
