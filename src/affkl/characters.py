@@ -146,19 +146,14 @@ def _is_regular(datum, lam, p):
 
 def block_position(datum, lam, p):
     """(base, w): the unique weight of the block inside the fundamental
-    p-alcove and the element with w dot_p base == lam.  Regular weights
-    only; memoized per (lam, p)."""
-    lam = tuple(lam)
+    p-alcove and the element with w dot_p base == lam.  Regular weights only."""
     _check_weight(datum, lam)
     if not _is_regular(datum, lam, p):
         raise ValueError("weight lies on a p-wall; its block is singular")
-    cache = datum.memo.entry("characters_block_position")
-    key = (lam, p)
-    if key not in cache:
-        point = tuple(Fraction(c, p) for c in add_weights(lam, datum.varsigma))
-        y = weyl.walk_to_fundamental(datum, point)
-        cache[key] = (weyl.dot_p(y, lam, p), weyl.invert(y))
-    return cache[key]
+    point = tuple(Fraction(c, p) for c in add_weights(lam, datum.varsigma))
+    y = weyl.walk_to_fundamental(datum, point)
+    base = weyl.dot_p(y, lam, p)
+    return base, weyl.invert(y)
 
 
 def _normalizing_shift(datum, w, p):
@@ -218,10 +213,10 @@ def projective_multiplicities_weight(table, lam, p):
     _check_prime(p)
     if is_steinberg_type(datum, lam, p):
         return {lam: 1}
-    base, w = block_position(datum, lam, p)
     cache = datum.memo.entry("characters_projective_row")
     key = (table, lam, p)
     if key not in cache:
+        base, w = block_position(datum, lam, p)
         mu = _normalizing_shift(datum, w, p)
         w2 = weyl.multiply(weyl.translation(datum, mu), w)
         row = projective_multiplicities(table, w2)

@@ -213,16 +213,7 @@ def _lusztig_formula(alcove, column_elem):
 
 
 def _column_index(alcove):
-    """(w_mu-bar * w) for A = (mu + A_fund) . w, with mu above A, memoized
-    per alcove."""
-    cache = alcove.datum.memo.entry("periodic_column_index")
-    idx = cache.get(alcove)
-    if idx is None:
-        idx = cache[alcove] = _compute_column_index(alcove)
-    return idx
-
-
-def _compute_column_index(alcove):
+    """(w_mu-bar * w) for A = (mu + A_fund) . w, with mu above A."""
     datum = alcove.datum
     mu = alcoves.box_rep_above(alcove)
     omega, x_mu = weyl.omega_of_weight(datum, mu)
@@ -241,14 +232,8 @@ def _compute_column_index(alcove):
 
 
 def canonical_P(alcove):
-    """Lusztig's canonical basis element attached to an alcove, memoized
-    per alcove."""
-    idx = _column_index(alcove)
-    cache = alcove.datum.memo.entry("periodic_canonical_P")
-    elem = cache.get(alcove)
-    if elem is None:
-        elem = cache[alcove] = _lusztig_formula(alcove, hecke.kl_basis(idx))
-    return PeriodicElem(elem.datum, elem.support)  # the caller's own copy
+    """Lusztig's canonical basis element attached to an alcove."""
+    return _lusztig_formula(alcove, hecke.kl_basis(_column_index(alcove)))
 
 
 def p_canonical_P(table, alcove):
@@ -256,13 +241,13 @@ def p_canonical_P(table, alcove):
     per (table, alcove); a table is not changed once loaded."""
     if table.basis_kind != "H":
         raise ValueError("periodic canonical elements need an algebra table")
-    idx = _column_index(alcove)
-    if not table.has_column(idx):
-        raise KeyError("table has no column for %s" % weyl.to_text(idx))
     cache = alcove.datum.memo.entry("periodic_p_canonical_P")
     key = (table, alcove)
     elem = cache.get(key)
     if elem is None:
+        idx = _column_index(alcove)
+        if not table.has_column(idx):
+            raise KeyError("table has no column for %s" % weyl.to_text(idx))
         elem = cache[key] = _lusztig_formula(
             alcove, HeckeElem(table.datum, table.column(idx)))
     return PeriodicElem(elem.datum, elem.support)  # the caller's own copy
