@@ -177,7 +177,7 @@ def smith_normal_form(a):
     return d, p
 
 
-def canonical_solution(a, b, box=None):
+def canonical_solution(a, b):
     """A deterministic integer solution of ``a @ x == b``.
 
     Among integer solutions reachable from one particular solution by kernel
@@ -191,7 +191,7 @@ def canonical_solution(a, b, box=None):
     x0, kernel = sol
     if not kernel:
         return list(x0)
-    radius = box if box is not None else max(abs(c) for c in x0) + 2
+    radius = max(abs(c) for c in x0) + 2
     best = None
     for coeffs in product(range(-radius, radius + 1), repeat=len(kernel)):
         x = list(x0)

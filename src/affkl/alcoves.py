@@ -17,7 +17,6 @@ import math
 
 from . import weyl
 from .rootdata import pair, scale_weight
-from ._intlinalg import canonical_solution
 
 __all__ = [
     "Alcove",
@@ -33,12 +32,8 @@ __all__ = [
     "hat",
     "check",
     "generic_leq",
-    "dot_p",
     "enumerate_alcoves",
 ]
-
-dot_p = weyl.dot_p  # the dilated dot action lives naturally here too
-
 
 class Alcove:
     """An alcove x(A_fund), keyed by its W-element x."""
@@ -120,10 +115,7 @@ def _box_rep(a, rounder):
         if val.denominator == 1:
             raise RuntimeError("barycenter lies on a wall")  # pragma: no cover
         targets.append(rounder(val))
-    sol = canonical_solution([list(c) for c in d.simple_coroots], targets)
-    if sol is None:  # pragma: no cover - ruled out by varsigma existence
-        raise RuntimeError("no integer box representative")
-    return tuple(sol)
+    return d.weight_with_pairings(targets)
 
 
 def box_rep_below(a):
@@ -192,9 +184,6 @@ def generic_leq(a, b):
     return "incomparable"
 
 
-def enumerate_alcoves(datum, max_len, dominant_only=False):
+def enumerate_alcoves(datum, max_len):
     """Alcoves of W-elements with length <= max_len, in BFS order."""
-    out = [Alcove(x) for x in weyl.enumerate_W(datum, max_len)]
-    if dominant_only:
-        out = [a for a in out if is_dominant(a)]
-    return out
+    return [Alcove(x) for x in weyl.enumerate_W(datum, max_len)]

@@ -51,7 +51,7 @@ class WindowError(ValueError):
 def q_of_alcove(table, a):
     """Baby-Verma multiplicities of the projective attached to an alcove:
     the v = 1 specialization of the table-driven canonical element at hat(A)."""
-    return periodic.specialize_v1(periodic.p_canonical_P(table, alcoves.hat(a)))
+    return periodic.p_canonical_P(table, alcoves.hat(a)).specialize_v1()
 
 
 def q_via_coset_sum(table, a):
@@ -77,21 +77,6 @@ def q_via_coset_sum(table, a):
     return out
 
 
-def _coset_minimum(z):
-    """The minimal element of W_f * z."""
-    gens = weyl.finite_generators(z.datum)
-    cur = z
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            nxt = weyl.multiply(g, cur)
-            if nxt.length() < cur.length():
-                cur = nxt
-                changed = True
-    return cur
-
-
 def coset_constancy(table, w):
     """True iff the v = 1 values of the column of w_f * w are constant on
     finite-Weyl-group cosets (including zeros in the coset closure)."""
@@ -101,10 +86,11 @@ def coset_constancy(table, w):
     wf = weyl.longest_element(datum)
     col = table.column(weyl.multiply(wf, w))
     values = {z: p.evaluate_at_one() for z, p in col.items()}
-    finite = hecke._finite_elements(datum)
+    finite = weyl.finite_elements(datum)
     seen_reps = set()
     for z in values:
-        rep = _coset_minimum(z)
+        # the shortest element of the coset W_f * z
+        rep = min((weyl.multiply(x, z) for x in finite), key=weyl.length)
         if rep in seen_reps:
             continue
         seen_reps.add(rep)
@@ -160,15 +146,8 @@ def _normalizing_shift(datum, w, p):
     """mu with t_varsigma t_mu w restricted: pairings of w dot_p 0 + p*mu
     must land in [-p, -1] on every simple coroot."""
     lam0 = weyl.dot_p(w, (0,) * datum.lattice_rank, p)
-    targets = []
-    for c in datum.simple_coroots:
-        r = pair(lam0, c)
-        targets.append(-(r // p) - 1)
-    from ._intlinalg import canonical_solution
-    mu = canonical_solution([list(c) for c in datum.simple_coroots], targets)
-    if mu is None:  # pragma: no cover - varsigma existence rules this out
-        raise RuntimeError("no integer normalizing shift")
-    return tuple(mu)
+    return datum.weight_with_pairings(
+        [-(pair(lam0, c) // p) - 1 for c in datum.simple_coroots])
 
 
 def projective_multiplicities(table, w):
@@ -361,15 +340,8 @@ def dominant_part(datum, char):
 
 def _restricted_decomposition(datum, lam, p):
     """lam = lam'' + p mu with lam'' restricted dominant; regular weights."""
-    targets = []
-    for c in datum.simple_coroots:
-        r = pair(lam, c)
-        targets.append((r - (r % p)) // p)
-    from ._intlinalg import canonical_solution
-    mu = canonical_solution([list(c) for c in datum.simple_coroots], targets)
-    if mu is None:  # pragma: no cover
-        raise RuntimeError("no restricted decomposition")
-    mu = tuple(mu)
+    mu = datum.weight_with_pairings(
+        [pair(lam, c) // p for c in datum.simple_coroots])
     core = sub_weights(lam, scale_weight(p, mu))
     return core, mu
 
@@ -385,7 +357,7 @@ def _simple_has_dominant_weight(datum, lam, p):
     core, mu = _restricted_decomposition(datum, lam, p)
     shift = scale_weight(p, mu)
     orbit = [add_weights(weyl._mat_apply(x.fin, core), shift)
-             for x in hecke._finite_elements(datum)]
+             for x in weyl.finite_elements(datum)]
     if any(all(pair(w, c) >= 0 for c in datum.simple_coroots) for w in orbit):
         return True
     for c in datum.simple_coroots:

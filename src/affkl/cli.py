@@ -441,6 +441,8 @@ def _window_alcoves(datum, bound):
         return all(abs(pair(bary, c)) <= bound
                    for c in datum.positive_coroots)
 
+    if not inside(fund):  # then the window holds no alcove at all
+        raise ConfigError("--bound %d holds no alcove" % bound)
     seen = {fund.elem.key(): fund}
     frontier = [fund]
     gens = weyl.all_generators(datum)

@@ -36,11 +36,8 @@ __all__ = [
     "standard",
     "act_standard",
     "act",
-    "mul",
     "bar",
     "kl_basis",
-    "kl_poly",
-    "p_kl_poly",
     "check_absorption",
     "finite_poincare",
     "box_normalizer",
@@ -190,7 +187,7 @@ vinv = LaurentPoly.term(1, -1)
 def finite_poincare(datum):
     """sum over W_f of v^{2 l(x)}."""
     out = LaurentPoly()
-    for x in _finite_elements(datum):
+    for x in weyl.finite_elements(datum):
         out = out + LaurentPoly.term(1, 2 * x.length())
     return out
 
@@ -200,24 +197,6 @@ def box_normalizer(datum):
     in the alcove-basis normalization of the periodic module."""
     lw = weyl.longest_element(datum).length()
     return LaurentPoly.term(1, -lw) * finite_poincare(datum)
-
-
-def _finite_elements(datum):
-    def build():
-        gens = weyl.finite_generators(datum)
-        seen = {weyl.identity(datum)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = weyl.multiply(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen, key=weyl.sort_key))
-    return datum.memo.entry("finite_elements", build)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +248,15 @@ class Combination:
 
     def coeff(self, key):
         return self.support.get(key, LaurentPoly())
+
+    def specialize_v1(self):
+        """Every coefficient evaluated at v = 1; vanishing keys are dropped."""
+        out = {}
+        for k, p in self.support.items():
+            val = p.evaluate_at_one()
+            if val:
+                out[k] = val
+        return out
 
     def items_sorted(self):
         key = self.sort_key
@@ -345,9 +333,6 @@ def unit(datum):
 
 def standard(w):
     return HeckeElem(w.datum, {w: one})
-
-
-mul = act
 
 
 def _bar_step(x, s):
@@ -436,16 +421,11 @@ def _kl_w(u):
     return out
 
 
-def kl_poly(y, w):
-    """Coefficient of H_y in the KL element of w (zero when unsupported)."""
-    return kl_basis(w).coeff(y)
-
-
 def check_absorption(w, s):
     """For l(ws) < l(w): verify KL(w) * KL(s) == (v + v^{-1}) KL(w)."""
     if weyl.multiply(w, s).length() >= w.length():
         raise ValueError("absorption needs a right descent")
-    lhs = mul(kl_basis(w), kl_basis(s))
+    lhs = act(kl_basis(w), kl_basis(s))
     rhs = kl_basis(w).scale(v + vinv)
     return lhs == rhs
 
@@ -586,11 +566,6 @@ class PCanonicalTable:
             raise ValueError("column is not an algebra element")
         return HeckeElem(self.datum, self.column(w))
 
-    def value_at_one(self, y, w):
-        col = self.column(w)
-        p = col.get(y)
-        return p.evaluate_at_one() if p is not None else 0
-
     @property
     def table_hash(self):
         if self.builtin:
@@ -676,9 +651,13 @@ def load_pcanonical(path, datum):
 
 
 def table_from_json(doc, datum):
+    if not isinstance(doc, dict):
+        raise TableValidationError("a table document must be a JSON object")
     if doc.get("schema") != 1:
         raise TableValidationError("unsupported table schema version")
     datum_field = doc.get("datum", "")
+    if not isinstance(datum_field, str):
+        raise TableValidationError("the datum field must be a string")
     if datum_field and datum.datum_hash not in datum_field:
         raise TableValidationError("table was computed for a different datum")
     p = doc.get("p")
@@ -687,13 +666,23 @@ def table_from_json(doc, datum):
     basis = doc.get("basis", "H")
     if basis not in ("H", "N", "M"):
         raise TableValidationError("invalid basis kind %r" % (basis,))
+    columns = doc.get("entries", {})
+    if not isinstance(columns, dict):
+        raise TableValidationError("entries must map element texts to columns")
     entries = {}
-    for wt, col in doc.get("entries", {}).items():
+    for wt, col in columns.items():
+        if not isinstance(col, dict):
+            raise TableValidationError("the column of %s is not a JSON object" % wt)
         w = weyl.from_text(datum, wt)
-        entries[w] = {
-            weyl.from_text(datum, yt): LaurentPoly.from_pairs(pairs)
-            for yt, pairs in col.items()
-        }
+        entries[w] = {}
+        for yt, pairs in col.items():
+            y = weyl.from_text(datum, yt)
+            try:
+                entries[w][y] = LaurentPoly.from_pairs(pairs)
+            except TypeError:
+                raise TableValidationError(
+                    "the entry at (%s, %s) is not a list of [exponent, "
+                    "coefficient] pairs" % (yt, wt)) from None
     table = PCanonicalTable(datum, p, basis, entries,
                             label=doc.get("label", "file"))
     validate_table(table)
@@ -717,9 +706,3 @@ def dump_pcanonical(table):
         },
     }
 
-
-def p_kl_poly(table, y, w):
-    """The (y, w) entry of the table (zero when unsupported)."""
-    if not table.has_column(w):
-        raise KeyError("table has no column for %s" % weyl.to_text(w))
-    return table.column(w).get(y, LaurentPoly())

@@ -62,10 +62,6 @@ class ParabolicElem(Combination):
     def as_hecke(self):
         return HeckeElem(self.datum, dict(self.support))
 
-    def specialize_v1(self):
-        return {w: p.evaluate_at_one() for w, p in self.support.items()
-                if p.evaluate_at_one() != 0}
-
 
 class AsphElem(ParabolicElem):
     __slots__ = ()
@@ -212,7 +208,7 @@ def uN_varsigma(datum, omega=None):
     t_vs = weyl.translation(datum, datum.varsigma)
     elem = kl_N(weyl.multiply(t_vs, omega))
     expected = {}
-    for z in hecke._finite_elements(datum):
+    for z in weyl.finite_elements(datum):
         key = weyl.multiply(weyl.multiply(t_vs, z), omega)
         expected[key] = LaurentPoly.term(1, z.length())
     if elem.support != expected:

@@ -38,7 +38,6 @@ __all__ = [
     "canonical_P_fund",
     "canonical_P",
     "p_canonical_P",
-    "specialize_v1",
     "positivity_check",
     "PositivityWindowError",
 ]
@@ -185,7 +184,7 @@ def canonical_P_fund(datum, mu):
     mu = tuple(mu)
     if mu not in cache:
         out = {}
-        for x in hecke._finite_elements(datum):
+        for x in weyl.finite_elements(datum):
             a = alcoves.translate(alcoves.from_weyl(x), mu)
             out[a] = LaurentPoly.term(1, x.length())
         cache[mu] = PeriodicElem(datum, out)
@@ -216,19 +215,15 @@ def _column_index(alcove):
     """(w_mu-bar * w) for A = (mu + A_fund) . w, with mu above A."""
     datum = alcove.datum
     mu = alcoves.box_rep_above(alcove)
-    omega, x_mu = weyl.omega_of_weight(datum, mu)
+    _, x_mu = weyl.omega_of_weight(datum, mu)
     w = weyl.multiply(weyl.invert(x_mu), alcove.elem)
     # w must be minimal in its coset under the twisted finite parabolic
-    twisted = [weyl.multiply(weyl.multiply(omega, s), weyl.invert(omega))
-               for s in weyl.finite_generators(datum)]
+    twisted = [weyl.tau(datum, mu, s) for s in weyl.finite_generators(datum)]
     if not weyl.is_min_in_coset(w, twisted):
         raise RuntimeError(
             "alcove label is not coset-minimal; internal consistency failure"
         )
-    w_mu_bar = weyl.multiply(
-        weyl.multiply(omega, weyl.longest_element(datum)), weyl.invert(omega)
-    )
-    return weyl.multiply(w_mu_bar, w)
+    return weyl.multiply(weyl.tau(datum, mu, weyl.longest_element(datum)), w)
 
 
 def canonical_P(alcove):
@@ -253,16 +248,6 @@ def p_canonical_P(table, alcove):
     return PeriodicElem(elem.datum, elem.support)  # the caller's own copy
 
 
-def specialize_v1(x):
-    """Evaluate every coefficient at v = 1; drops vanishing alcoves."""
-    out = {}
-    for a, p in x.support.items():
-        val = p.evaluate_at_one()
-        if val:
-            out[a] = val
-    return out
-
-
 def _maximal_key(support):
     """A generically-maximal alcove among the keys, deterministically."""
     keys = sorted(support, key=lambda a: weyl.sort_key(a.elem))
@@ -275,7 +260,7 @@ def _maximal_key(support):
     return maximal[0]
 
 
-def positivity_check(table, window_alcoves, max_steps=2000):
+def positivity_check(table, window_alcoves):
     """Expand each table-driven canonical element over the window in the
     KL-canonical alcove family and report any negative coefficient.
 
@@ -290,7 +275,7 @@ def positivity_check(table, window_alcoves, max_steps=2000):
         steps = 0
         while not rem.is_zero():
             steps += 1
-            if steps > max_steps:
+            if steps > 2000:
                 raise PositivityWindowError(
                     "window too small: expansion of the element at %r does "
                     "not terminate within the step budget" % a

@@ -249,6 +249,17 @@ class RootDatum:
             reps[self.root_lattice_class(w)] = w
         return [reps[k] for k in sorted(reps)]
 
+    def weight_with_pairings(self, targets):
+        """The canonical integer weight whose pairing with the i-th simple
+        coroot is targets[i]."""
+        sol = canonical_solution([list(c) for c in self.simple_coroots],
+                                 list(targets))
+        if sol is None:  # pragma: no cover - varsigma existence rules this out
+            raise RuntimeError(
+                "no integer weight has the pairings %s; internal consistency "
+                "failure" % (tuple(targets),))
+        return tuple(sol)
+
     def weight_in_lattice_p_multiple(self, weight, p):
         """Return mu with weight == p * mu if one exists in X, else None."""
         if all(v % p == 0 for v in weight):
@@ -304,6 +315,8 @@ def build_root_datum(spec):
     """
     if isinstance(spec, str):
         spec = {"type": spec, "lattice": "simply_connected"}
+    if not isinstance(spec, dict):
+        raise ValueError("a datum config must be a JSON object or a type name")
     if spec.get("schema", 1) != 1:
         raise ValueError("unsupported config schema version")
     type_name = spec.get("type")

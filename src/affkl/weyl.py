@@ -32,6 +32,7 @@ __all__ = [
     "invert",
     "length",
     "finite_generators",
+    "finite_elements",
     "affine_generators",
     "all_generators",
     "generator_names",
@@ -428,32 +429,17 @@ def reduced_word(x):
 
 def finite_word(datum, mat):
     """Reduced word of a finite Weyl group element over s_1 .. s_n (indices
-    are 1-based simple-reflection numbers)."""
+    are 1-based simple-reflection numbers), memoized per matrix.
+
+    It is the reduced word of the element in W shifted to these numbers: no
+    affine generator is a left descent of an element of W_f, so its
+    lex-minimal reduced word uses none."""
     cache = datum.memo.entry("finite_word")
-    if mat in cache:
-        return cache[mat]
-    gens = finite_generators(datum)
-
-    def n_inv(m):
-        pos = datum.positive_root_set
-        return sum(1 for r in datum.positive_roots if _mat_apply(m, r) not in pos)
-
-    word = []
-    cur = mat
-    ln = n_inv(cur)
-    while ln > 0:
-        for i, g in enumerate(gens):
-            nxt = _mat_mul(g.fin, cur)
-            if n_inv(nxt) < ln:
-                word.append(i + 1)
-                cur = nxt
-                ln -= 1
-                break
-        else:  # pragma: no cover
-            raise RuntimeError("no finite descent found")
-    out = tuple(word)
-    cache[mat] = out
-    return out
+    if mat not in cache:
+        shift = len(all_generators(datum)) - datum.rank - 1
+        cache[mat] = tuple(
+            i - shift for i in reduced_word(from_finite_matrix(datum, mat)))
+    return cache[mat]
 
 
 def bruhat_leq(x, y):
@@ -510,21 +496,13 @@ def is_fWext(w):
     return is_min_in_coset(w, finite_generators(w.datum))
 
 
-def longest_element(datum, indices=None):
-    """Longest element of the standard parabolic of W_f given by 1-based
-    simple-reflection indices (default: all of S_f)."""
-    if indices is None:
-        indices = tuple(range(1, datum.rank + 1))
-    indices = tuple(sorted(indices))
-    cache = datum.memo.entry("longest")
-    if indices in cache:
-        return cache[indices]
-    gens = [finite_generators(datum)[i - 1] for i in indices]
-    if not gens:
-        out = identity(datum)
-    else:
+def finite_elements(datum):
+    """The finite Weyl group W_f in sort_key order, so the identity comes
+    first and the longest element last."""
+    def build():
+        gens = finite_generators(datum)
         seen = {identity(datum)}
-        frontier = [identity(datum)]
+        frontier = list(seen)
         while frontier:
             nxt = []
             for x in frontier:
@@ -534,11 +512,13 @@ def longest_element(datum, indices=None):
                         seen.add(y)
                         nxt.append(y)
             frontier = nxt
-            if len(seen) > 10 ** 6:  # pragma: no cover
-                raise RuntimeError("parabolic subgroup is not finite")
-        out = max(seen, key=lambda e: e.length())
-    cache[indices] = out
-    return out
+        return tuple(sorted(seen, key=sort_key))
+    return datum.memo.entry("finite_elements", build)
+
+
+def longest_element(datum):
+    """The longest element w_f of the finite Weyl group."""
+    return finite_elements(datum)[-1]
 
 
 def dot_p(w, lam, p):
@@ -548,12 +528,12 @@ def dot_p(w, lam, p):
     return sub_weights(_mat_apply(w.fin, inner), d.varsigma)
 
 
-def is_restricted(w, datum=None):
+def is_restricted(w):
     """True iff w dot_p 0 lies in the restricted box 0 <= <., a^vee> <= p-1.
 
     The verdict does not depend on p; it is evaluated at p0 = 2h + 1.
     """
-    d = datum or w.datum
+    d = w.datum
     p0 = 2 * d.coxeter_number + 1
     lam = dot_p(w, (0,) * d.lattice_rank, p0)
     return all(0 <= pair(lam, c) <= p0 - 1 for c in d.simple_coroots)

@@ -14,6 +14,10 @@ production algorithm, so agreement is evidence rather than tautology:
   by stepping m = 0, 1, 2, ... and re-checks the verdict two steps further.
 * ``walk_to_fundamental_by_fractions`` walks a point into the fundamental
   alcove in exact rational arithmetic.
+* ``finite_word_by_inversions`` strips simple reflections off a finite
+  Weyl group matrix by counting the positive roots it makes negative.
+* ``longest_element_by_bfs`` takes the longest element of a breadth-first
+  search of the finite Weyl group.
 """
 
 from __future__ import annotations
@@ -176,3 +180,38 @@ def walk_to_fundamental_by_fractions(datum, point):
         q = crossed.apply(q)
         y = weyl.multiply(crossed, y)
     raise AssertionError("alcove walk does not terminate")
+
+
+def _inversions(datum, mat):
+    """Number of positive roots that the matrix sends to negative roots."""
+    return sum(1 for r in datum.positive_roots
+               if weyl._mat_apply(mat, r) not in datum.positive_root_set)
+
+
+def finite_word_by_inversions(datum, mat):
+    """Reduced word of a finite Weyl group element over s_1 .. s_n (1-based
+    indices): take off the first simple reflection s_i on the left that
+    lowers the inversion count, until none is left."""
+    gens = weyl.finite_generators(datum)
+    word = []
+    cur = mat
+    while _inversions(datum, cur):
+        i = next(i for i, g in enumerate(gens)
+                 if _inversions(datum, weyl._mat_mul(g.fin, cur))
+                 < _inversions(datum, cur))
+        word.append(i + 1)
+        cur = weyl._mat_mul(gens[i].fin, cur)
+    return tuple(word)
+
+
+def longest_element_by_bfs(datum):
+    """The longest element among all products of simple reflections, found
+    by breadth-first search from the identity."""
+    gens = weyl.finite_generators(datum)
+    seen = {weyl.identity(datum)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [y for y in {weyl.multiply(x, g) for x in frontier for g in gens}
+                    if y not in seen]
+        seen.update(frontier)
+    return max(seen, key=lambda e: e.length())

@@ -75,20 +75,20 @@ def test_criterion_05_comparison_map_laws():
             h = hecke.kl_basis(w)
             for s in gens[: 2]:
                 hs = hecke.kl_basis(s)
-                assert parabolic.xi(hecke.mul(h, hs)) \
+                assert parabolic.xi(hecke.act(h, hs)) \
                     == parabolic.asph_act(parabolic.xi(h), hs)
         for w in sample:
             m = parabolic.sph_standard(w)
             for s in gens[: 2]:
                 hs = hecke.kl_basis(s)
                 assert parabolic.zeta(parabolic.sph_act(m, hs)) \
-                    == hecke.mul(parabolic.zeta(m), hs)
+                    == hecke.act(parabolic.zeta(m), hs)
         for om in weyl.omega_elements(d):
             z = parabolic.zeta(parabolic.sph_standard(om))
             expected = {
                 weyl.multiply(x, om): LaurentPoly.term(
                     1, wf.length() - x.length())
-                for x in hecke._finite_elements(d)
+                for x in weyl.finite_elements(d)
             }
             assert z.support == expected
 

@@ -21,8 +21,11 @@ def test_q_routes_agree(a1, a1_table, a2, a2_table, c2, c2_table):
             assert ch.q_of_alcove(table, a) == ch.q_via_coset_sum(table, a), a
 
 
-def test_coset_constancy(a1, a1_table, c2, c2_table):
-    for d, table, bound in ((a1, a1_table, 5), (c2, c2_table, 4)):
+def test_coset_constancy(a1, a1_table, a2, a2_table, c2, c2_table):
+    g2 = rootdata.build_root_datum("G2")
+    for d, table, bound in ((a1, a1_table, 5), (a2, a2_table, 4),
+                            (c2, c2_table, 4),
+                            (g2, hecke.builtin_kl_table(g2), 4)):
         for w in weyl.enumerate_fW(d, bound):
             assert ch.coset_constancy(table, w), weyl.to_text(w)
 
@@ -186,7 +189,7 @@ def test_tilting_babyverma_mults_example(a1):
     a = parabolic.phi(parabolic.sph_standard(om)).specialize_v1()
     out = ch.tilting_babyverma_mults(a1, a)
     expected = {weyl.multiply(x, om): 1
-                for x in hecke._finite_elements(a1)}
+                for x in weyl.finite_elements(a1)}
     assert out == expected
 
 

@@ -58,6 +58,34 @@ def test_negative_draw_bound_exits_2(capsys):
     assert err == "error: --bound must be >= 0, got -1\n"
 
 
+def test_empty_draw_window_exits_2(capsys):
+    code, out, err = _run(capsys, "draw", "--type", "A2", "--bound", "0")
+    assert code == 2 and out == ""
+    assert err == "error: --bound 0 holds no alcove\n"
+
+
+@pytest.mark.parametrize("flag, doc", [
+    ("--table", '[]'),
+    ("--table", '{"schema":1,"p":5,"entries":[]}'),
+    ("--table", '{"schema":1,"p":5,"entries":{"e":5}}'),
+    ("--table", '{"schema":1,"p":5,"entries":{"e":{"e":5}}}'),
+    ("--table", '{"schema":1,"p":5,"entries":{"e":{"e":[[0,1]]}},"datum":5}'),
+    ("--datum-json", '[]'),
+    ("--datum-json", '5'),
+], ids=["table-list", "entries-list", "column-number", "entry-number",
+        "table-datum-number", "datum-list", "datum-number"])
+def test_malformed_document_exits_2(tmp_path, capsys, flag, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    if flag == "--table":
+        argv = ["compute", "kl", "--type", "A1", "--elem", "e"]
+    else:
+        argv = ["verify", "main"]
+    code, out, err = _run(capsys, *argv, flag, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid ")
+
+
 @pytest.mark.parametrize("suite", ["orders", "main", "periodic", "all"])
 def test_negative_max_len_exits_2(capsys, suite):
     code, out, err = _run(capsys, "verify", suite, "--type", "A1",

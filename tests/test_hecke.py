@@ -58,7 +58,7 @@ def test_evaluate_at_one():
 def test_quadratic_relation(a1):
     for s in weyl.all_generators(a1):
         hs = hecke.standard(s)
-        sq = hecke.mul(hs, hs)
+        sq = hecke.act(hs, hs)
         expected = hecke.unit(a1) + hs.scale(vinv - v)
         assert sq == expected
 
@@ -68,11 +68,11 @@ def test_standard_basis_multiplication_is_associative(a2):
     for x in elems[:4]:
         for y in elems[:4]:
             for z in elems[:4]:
-                lhs = hecke.mul(hecke.mul(hecke.standard(x),
+                lhs = hecke.act(hecke.act(hecke.standard(x),
                                           hecke.standard(y)),
                                 hecke.standard(z))
-                rhs = hecke.mul(hecke.standard(x),
-                                hecke.mul(hecke.standard(y),
+                rhs = hecke.act(hecke.standard(x),
+                                hecke.act(hecke.standard(y),
                                           hecke.standard(z)))
                 assert lhs == rhs
 

@@ -1,0 +1,48 @@
+"""The layer tracer of the benchmark (``perfbench/``) finds what it wraps:
+public entry points are plain module functions, and one traced CLI pass
+counts the KL recursion and times each ``verify_main`` call."""
+
+import importlib
+import inspect
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LAYERS = ("rootdata", "weyl", "alcoves", "hecke", "parabolic", "periodic",
+          "characters", "cli")
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_public_callables_are_plain_functions_of_their_layer(layer):
+    # The tracer replaces the plain functions a module defines itself; an
+    # alias of another module's function or a decorated entry point would
+    # escape it.
+    module = importlib.import_module("affkl." + layer)
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if callable(obj) and not inspect.isclass(obj):
+            assert inspect.isfunction(obj), "%s.%s" % (layer, name)
+            assert obj.__module__ == module.__name__, "%s.%s" % (layer, name)
+
+
+def test_traced_cli_pass_counts_the_kl_recursion(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               AFFKL_CACHE_DIR=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), "cli",
+         "verify", "main", "--type", "A1", "--max-len", "4"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout.splitlines()[-1])
+    assert rec["exit"] == 0
+    assert rec["statuses"] and set(rec["statuses"]) == {"pass"}
+    trace = rec["trace"]
+    assert trace["wall"] > 0
+    assert trace["calls"].get("hecke._kl_w", 0) > 0
+    # one timed verify_main call per check of the report
+    assert len(trace["durations"]["parabolic.verify_main"]) \
+        == len(rec["statuses"])

@@ -83,7 +83,7 @@ def test_action_rejects_extended_support(a1):
 def test_canonical_fund_is_finite_orbit(a1, c2):
     for d in (a1, c2):
         el = periodic.canonical_P_fund(d, (0,) * d.lattice_rank)
-        assert len(el.support) == len(hecke._finite_elements(d))
+        assert len(el.support) == len(weyl.finite_elements(d))
         for a, p in el.support.items():
             assert p == LaurentPoly.term(1, alcoves.to_weyl(a).length())
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from affkl import rootdata, weyl
 from affkl.rootdata import pair
-from oracles import bfs_lengths, walk_to_fundamental_by_fractions
+from oracles import (bfs_lengths, finite_word_by_inversions,
+                     longest_element_by_bfs, walk_to_fundamental_by_fractions)
 
 
 def _elem_strategy(datum, max_word=6):
@@ -198,6 +199,27 @@ def test_walk_to_fundamental_matches_fraction_walk(label):
         image = y.apply(point)
         assert all(pair(image, c) >= 0 for c in d.simple_coroots)
         assert all(pair(image, c) <= 1 for _, c in walls)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3",
+                                   "G2"])
+def test_finite_group_words_and_longest_element_match_oracles(label):
+    d = rootdata.build_root_datum(label)
+    finite = weyl.finite_elements(d)
+    wf = longest_element_by_bfs(d)
+    assert finite[0].is_identity() and finite[-1] == wf
+    members = set(finite)  # without repeats and closed under s_1 .. s_n
+    assert len(members) == len(finite)
+    assert all(weyl.multiply(x, g) in members
+               for x in finite for g in weyl.finite_generators(d))
+    assert finite == tuple(sorted(finite, key=weyl.sort_key))
+    assert weyl.longest_element(d) == wf
+    assert wf.length() == len(d.positive_roots)
+    for x in finite:
+        word = finite_word_by_inversions(d, x.fin)
+        expected = "w: " + " ".join("s%d" % i for i in word) if word else "e"
+        assert weyl.to_text(x) == expected
+        assert weyl.from_text(d, weyl.to_text(x)) == x
 
 
 def test_enumerate_W_refuses_a_negative_length(a1):
