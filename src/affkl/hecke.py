@@ -39,8 +39,6 @@ __all__ = [
     "bar",
     "kl_basis",
     "check_absorption",
-    "finite_poincare",
-    "box_normalizer",
     "PCanonicalTable",
     "TableValidationError",
     "builtin_kl_table",
@@ -182,21 +180,6 @@ class LaurentPoly:
 v = LaurentPoly.term(1, 1)
 one = LaurentPoly.term(1)
 vinv = LaurentPoly.term(1, -1)
-
-
-def finite_poincare(datum):
-    """sum over W_f of v^{2 l(x)}."""
-    out = LaurentPoly()
-    for x in weyl.finite_elements(datum):
-        out = out + LaurentPoly.term(1, 2 * x.length())
-    return out
-
-
-def box_normalizer(datum):
-    """v^{-l(w_f)} * sum over W_f of v^{2 l(x)}: the exact divisor appearing
-    in the alcove-basis normalization of the periodic module."""
-    lw = weyl.longest_element(datum).length()
-    return LaurentPoly.term(1, -lw) * finite_poincare(datum)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +662,7 @@ def table_from_json(doc, datum):
             y = weyl.from_text(datum, yt)
             try:
                 entries[w][y] = LaurentPoly.from_pairs(pairs)
-            except TypeError:
+            except (TypeError, ValueError):
                 raise TableValidationError(
                     "the entry at (%s, %s) is not a list of [exponent, "
                     "coefficient] pairs" % (yt, wt)) from None

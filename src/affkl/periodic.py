@@ -19,9 +19,11 @@ generating set (tested as a law in the suite).
 The canonical basis element attached to an alcove A is computed from
 Lusztig's closed formula: take the box representative mu above A, act on the
 explicit canonical element of the box by the KL basis element of the
-translated-longest-element times the alcove label, and divide exactly by the
-box normalizer (a Poincare polynomial in v^2).  The table-driven variant
-substitutes the table column for the KL element.
+translated-longest-element times the alcove label (the table-driven variant
+substitutes the table column), and divide exactly by the box normalizer (a
+Poincare polynomial in v^2).  Each coset of the twisted finite parabolic in
+the column acts as the normalizer times its top term, so the formula acts
+by the coset tops alone and divides by nothing (see _lusztig_formula).
 """
 
 from __future__ import annotations
@@ -191,24 +193,46 @@ def canonical_P_fund(datum, mu):
     return cache[mu]
 
 
-def _lusztig_formula(alcove, column_elem):
-    """Shared body of canonical_P / p_canonical_P: act on the box canonical
-    element by the given algebra element and divide by the normalizer."""
+def _coset_tops(datum, mu, column):
+    """{w_mu k: col[k]} over the keys k that top their coset W_f' k, where
+    W_f' = tau_mu(W_f), w_mu = tau_mu(w_f), and k is a top exactly when
+    l(w_mu k) = l(k) - l(w_f).  RuntimeError names the first key (in sort
+    order) that breaks col[z w_mu k] = v^{l(w_f) - l(z)} col[k] for z in
+    W_f' or lies in no such coset."""
+    twisted = [(weyl.tau(datum, mu, x), x.length())
+               for x in weyl.finite_elements(datum)]
+    w_mu, lf = twisted[-1]
+    column = {k: p for k, p in column.items() if not p.is_zero()}
+    tops = {}
+    for k, p in column.items():
+        y = weyl.multiply(w_mu, k)
+        if y.length() == k.length() - lf:
+            tops[y] = p
+    expected = {weyl.multiply(z, y): p * LaurentPoly.term(1, lf - lz)
+                for y, p in tops.items() for z, lz in twisted}
+    if expected != column:
+        bad = min((k for k in expected.keys() | column.keys()
+                   if expected.get(k) != column.get(k)), key=weyl.sort_key)
+        raise RuntimeError(
+            "the column does not have the twisted finite coset structure at "
+            "%s; internal consistency failure" % weyl.to_text(bad)
+        )
+    return tops
+
+
+def _lusztig_formula(alcove, column):
+    """Shared body of canonical_P / p_canonical_P, from the column
+    (y -> LaurentPoly) at _column_index(alcove).
+
+    The box star canonical_P_fund(mu) is a v^{-1}-eigenvector of every
+    H_{s'}, s' in W_f', so star . H_{z y'} = v^{-l(z)} star . H_{y'} for y'
+    minimal in its coset.  Under the structure _coset_tops checks, a coset
+    then acts as the box normalizer times its top term at y', which cancels
+    the division."""
     datum = alcove.datum
     mu = alcoves.box_rep_above(alcove)
-    base = canonical_P_fund(datum, mu)
-    acted = per_act(base, column_elem)
-    norm = hecke.box_normalizer(datum)
-    out = {}
-    for a, p in acted.support.items():
-        q = p.divide_exact(norm)
-        if q is None:
-            raise RuntimeError(
-                "normalizer division is not exact; internal consistency "
-                "failure at %r" % a
-            )
-        out[a] = q
-    return PeriodicElem(datum, out)
+    tops = _coset_tops(datum, mu, column)
+    return per_act(canonical_P_fund(datum, mu), HeckeElem(datum, tops))
 
 
 def _column_index(alcove):
@@ -228,7 +252,7 @@ def _column_index(alcove):
 
 def canonical_P(alcove):
     """Lusztig's canonical basis element attached to an alcove."""
-    return _lusztig_formula(alcove, hecke.kl_basis(_column_index(alcove)))
+    return _lusztig_formula(alcove, hecke.kl_basis(_column_index(alcove)).support)
 
 
 def p_canonical_P(table, alcove):
@@ -243,8 +267,7 @@ def p_canonical_P(table, alcove):
         idx = _column_index(alcove)
         if not table.has_column(idx):
             raise KeyError("table has no column for %s" % weyl.to_text(idx))
-        elem = cache[key] = _lusztig_formula(
-            alcove, HeckeElem(table.datum, table.column(idx)))
+        elem = cache[key] = _lusztig_formula(alcove, table.column(idx))
     return PeriodicElem(elem.datum, elem.support)  # the caller's own copy
 
 

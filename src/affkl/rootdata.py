@@ -343,5 +343,7 @@ def build_root_datum(spec):
         body = lattice.get("embedding", lattice)
         roots = body["roots"]
         coroots = body["coroots"]
+        if not roots:
+            raise ValueError("the lattice lists no simple roots")
         return RootDatum(cartan, roots, coroots, len(roots[0]), label=label)
     raise ValueError("unsupported lattice description %r" % (lattice,))

@@ -18,13 +18,16 @@ production algorithm, so agreement is evidence rather than tautology:
   Weyl group matrix by counting the positive roots it makes negative.
 * ``longest_element_by_bfs`` takes the longest element of a breadth-first
   search of the finite Weyl group.
+* ``canonical_P_by_division`` is Lusztig's periodic formula as written: act
+  on the box star by every term of the column and divide by the box
+  normalizer, with no use of the column's coset structure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from affkl import alcoves, hecke, parabolic, weyl
+from affkl import alcoves, hecke, parabolic, periodic, weyl
 from affkl.hecke import LaurentPoly
 from affkl.rootdata import pair, scale_weight
 
@@ -215,3 +218,30 @@ def longest_element_by_bfs(datum):
                     if y not in seen]
         seen.update(frontier)
     return max(seen, key=lambda e: e.length())
+
+
+def box_normalizer(datum):
+    """v^{-l(w_f)} * sum over W_f of v^{2 l(x)}: the exact divisor of the
+    act-then-divide form of Lusztig's periodic formula."""
+    out = LaurentPoly()
+    for x in weyl.finite_elements(datum):
+        out = out + LaurentPoly.term(1, 2 * x.length())
+    return LaurentPoly.term(1, -weyl.longest_element(datum).length()) * out
+
+
+def canonical_P_by_division(alcove, column):
+    """The periodic canonical element at the alcove from its column
+    (y -> LaurentPoly, the column of ``periodic._column_index(alcove)``):
+    the box star canonical_P_fund(mu) acted on by every term of the column,
+    each coefficient divided exactly by ``box_normalizer``."""
+    datum = alcove.datum
+    mu = alcoves.box_rep_above(alcove)
+    acted = periodic.per_act(periodic.canonical_P_fund(datum, mu),
+                             hecke.HeckeElem(datum, column))
+    norm = box_normalizer(datum)
+    out = {}
+    for a, p in acted.support.items():
+        q = p.divide_exact(norm)
+        assert q is not None, "normalizer division is not exact at %r" % (a,)
+        out[a] = q
+    return periodic.PeriodicElem(datum, out)

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from affkl import alcoves, characters as ch, hecke, parabolic, periodic, weyl
-from affkl.hecke import LaurentPoly, box_normalizer
+from affkl.hecke import LaurentPoly
 from affkl.rootdata import build_root_datum, complexity_bounds
 from oracles import bfs_lengths, kl_bar_fixed_point, sl2_simple_character
 
@@ -103,7 +103,7 @@ def test_criterion_06_periodic_module_properties():
         d = build_root_datum(typ)
         table = hecke.builtin_kl_table(d)
         for a in alcoves.enumerate_alcoves(d, bound):
-            periodic.p_canonical_P(table, a)  # raises if division inexact
+            periodic.p_canonical_P(table, a)  # raises off the coset structure
 
     d = build_root_datum("A1")
     window = alcoves.enumerate_alcoves(d, 8)

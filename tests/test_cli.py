@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from affkl import periodic
+from affkl import hecke, periodic, weyl
 from affkl.cli import main
+from affkl.hecke import one, v
 
 
 def _run(capsys, *argv):
@@ -72,8 +73,9 @@ def test_empty_draw_window_exits_2(capsys):
     ("--table", '{"schema":1,"p":5,"entries":{"e":{"e":[[0,1]]}},"datum":5}'),
     ("--datum-json", '[]'),
     ("--datum-json", '5'),
+    ("--datum-json", '{"type":"A1","lattice":{"roots":[],"coroots":[]}}'),
 ], ids=["table-list", "entries-list", "column-number", "entry-number",
-        "table-datum-number", "datum-list", "datum-number"])
+        "table-datum-number", "datum-list", "datum-number", "datum-no-roots"])
 def test_malformed_document_exits_2(tmp_path, capsys, flag, doc):
     path = tmp_path / "doc.json"
     path.write_text(doc)
@@ -201,6 +203,24 @@ def test_check_reporting_an_internal_failure_exits_1(capsys, monkeypatch):
     check = json.loads(out)["checks"][0]
     assert check["name"] == "normalizer-division-exact"
     assert check["status"] == "FAIL" and check["detail"] == "injected failure"
+
+
+def test_column_off_its_coset_structure_fails_verify_periodic(tmp_path, a1,
+                                                             capsys):
+    """A validated A1 table whose column at s1 is KL(s1) + KL(e) lacks the
+    coset structure of Lusztig's formula: a FAIL check naming the key e."""
+    s1 = weyl.all_generators(a1)[1]
+    e = weyl.identity(a1)
+    col = {s1: one, e: v + one}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(hecke.dump_pcanonical(
+        hecke.PCanonicalTable(a1, 5, "H", {s1: col}))))
+    code, out, _ = _run(capsys, "verify", "periodic", "--type", "A1",
+                        "--max-len", "0", "--table", str(path))
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "normalizer-division-exact"
+    assert check["status"] == "FAIL" and " e;" in check["detail"]
 
 
 def test_timings_are_measured_per_check(capsys):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from affkl import hecke, rootdata, weyl
 from affkl.hecke import (
     KLCache, LaurentPoly, PCanonicalTable, TableValidationError,
-    box_normalizer, builtin_kl_table, one, v, vinv,
+    builtin_kl_table, one, v, vinv,
 )
-from oracles import kl_bar_fixed_point
+from oracles import box_normalizer, kl_bar_fixed_point
 
 poly_strategy = st.builds(
     lambda pairs: LaurentPoly(dict(pairs)),
@@ -162,6 +162,14 @@ def test_table_rejects_wrong_datum_hash(a1, a2):
                         {w: builtin_kl_table(a1).column(w)}))
     with pytest.raises(ValueError):
         hecke.table_from_json(doc, a2)
+
+
+@pytest.mark.parametrize("pair", [[0], [0, 1, 2], ["x", 1]])
+def test_table_names_the_entry_of_a_malformed_pair(a1, pair):
+    doc = {"schema": 1, "p": 5, "entries": {"e": {"e": [pair]}}}
+    with pytest.raises(TableValidationError) as err:
+        hecke.table_from_json(doc, a1)
+    assert "(e, e) is not a list" in str(err.value)
 
 
 def test_validation_names_offending_column(a1):

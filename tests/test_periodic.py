@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from affkl import alcoves, hecke, periodic, rootdata, weyl
 from affkl.hecke import LaurentPoly, one, v
+from oracles import canonical_P_by_division
 
 
 def _alcove_strategy(datum, max_word=4):
@@ -103,7 +104,7 @@ def test_canonical_P_examples(a1):
 def test_normalizer_division_exact_on_window(a1, c2, a1_table, c2_table):
     for d, table, bound in ((a1, a1_table, 8), (c2, c2_table, 5)):
         for a in alcoves.enumerate_alcoves(d, bound):
-            periodic.p_canonical_P(table, a)  # raises if inexact
+            periodic.p_canonical_P(table, a)  # raises off the coset structure
 
 
 @settings(max_examples=20, deadline=None)
@@ -165,6 +166,50 @@ def _tampered_table(datum, table, target):
         if other != idx:
             cols[other] = table.column(other)
     return hecke.PCanonicalTable(datum, 2, "H", cols), partner
+
+
+@pytest.mark.parametrize("label, bound", [("A1", 8), ("A2", 4), ("C2", 4),
+                                          ("G2", 3)])
+def test_coset_tops_match_act_then_divide(label, bound):
+    """Both production routes equal the act-then-divide oracle on every
+    alcove of the window, box weights outside the root lattice included.
+    Fresh data, so that no memo is shared with other tests."""
+    d = rootdata.build_root_datum(label)
+    table = hecke.builtin_kl_table(d)
+    window = alcoves.enumerate_alcoves(d, bound)
+    outside = 0
+    for a in window:
+        expected = canonical_P_by_division(
+            a, table.column(periodic._column_index(a)))
+        assert periodic.p_canonical_P(table, a) == expected, a
+        assert periodic.canonical_P(a) == expected, a
+        outside += not weyl._in_root_lattice(d, alcoves.box_rep_above(a))
+    if label != "G2":  # G2's root lattice is its whole weight lattice
+        assert outside
+
+
+def test_coset_tops_match_act_then_divide_on_tampered_columns(a1, a1_table):
+    target = alcoves.from_weyl(weyl.all_generators(a1)[0])
+    bad, _ = _tampered_table(a1, a1_table, target)
+    for a in alcoves.enumerate_alcoves(a1, 8):
+        expected = canonical_P_by_division(
+            a, bad.column(periodic._column_index(a)))
+        assert periodic.p_canonical_P(bad, a) == expected, a
+
+
+def test_column_off_its_coset_structure_is_refused(a2, a2_table):
+    """Multiplying the coefficient at one non-top key by v (here the
+    bottom of the column index's own coset) is refused by name."""
+    a = alcoves.from_weyl(weyl.multiply(*weyl.all_generators(a2)[:2]))
+    idx = periodic._column_index(a)
+    mu = alcoves.box_rep_above(a)
+    bottom = weyl.multiply(weyl.tau(a2, mu, weyl.longest_element(a2)), idx)
+    col = a2_table.column(idx)
+    col[bottom] = col[bottom] * v
+    bad = hecke.PCanonicalTable(a2, 2, "H", {idx: col})
+    with pytest.raises(RuntimeError) as err:
+        periodic.p_canonical_P(bad, a)
+    assert weyl.to_text(bottom) in str(err.value)
 
 
 def test_positivity_check_window_too_small(a1, a1_table):
