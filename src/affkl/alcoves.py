@@ -66,7 +66,7 @@ class Alcove:
 
 def from_weyl(x):
     """Alcove of x; requires x in W (translation in the root lattice)."""
-    if not weyl._in_root_lattice(x.datum, x.trans):
+    if not x.datum.in_root_lattice(x.trans):
         raise ValueError("alcoves are labelled by the non-extended group")
     return Alcove(x)
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from . import alcoves, hecke, periodic, weyl
+from ._intlinalg import inverse
 from .rootdata import add_weights, neg_weight, pair, scale_weight, sub_weights
 
 __all__ = [
@@ -24,7 +26,6 @@ __all__ = [
     "block_multiplicity_table",
     "q_of_alcove",
     "q_via_coset_sum",
-    "coset_constancy",
     "projective_multiplicities",
     "projective_multiplicities_weight",
     "reciprocity_invert",
@@ -75,29 +76,6 @@ def q_via_coset_sum(table, a):
             key = alcoves.translate(alcoves.from_weyl(z), nu)
             out[key] = out.get(key, 0) + val
     return out
-
-
-def coset_constancy(table, w):
-    """True iff the v = 1 values of the column of w_f * w are constant on
-    finite-Weyl-group cosets (including zeros in the coset closure)."""
-    datum = w.datum
-    if not weyl.is_fW(w):
-        raise ValueError("index must be minimal in its finite coset")
-    wf = weyl.longest_element(datum)
-    col = table.column(weyl.multiply(wf, w))
-    values = {z: p.evaluate_at_one() for z, p in col.items()}
-    finite = weyl.finite_elements(datum)
-    seen_reps = set()
-    for z in values:
-        # the shortest element of the coset W_f * z
-        rep = min((weyl.multiply(x, z) for x in finite), key=weyl.length)
-        if rep in seen_reps:
-            continue
-        seen_reps.add(rep)
-        coset_vals = {values.get(weyl.multiply(x, rep), 0) for x in finite}
-        if len(coset_vals) > 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +265,8 @@ def reciprocity_invert(datum, mt):
         if mt.value(lab, lab) != 1:
             raise ValueError("diagonal entries must be 1")
     # d[j][i] = [Z_j : L_i]; invert exactly over Q and check integrality
-    d = [[Fraction(mt.value(order[i], order[j])) for i in range(n)]
-         for j in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for colix in range(n):
-        piv = next(r for r in range(colix, n) if d[r][colix] != 0)
-        d[colix], d[piv] = d[piv], d[colix]
-        inv[colix], inv[piv] = inv[piv], inv[colix]
-        f = d[colix][colix]
-        d[colix] = [x / f for x in d[colix]]
-        inv[colix] = [x / f for x in inv[colix]]
-        for r in range(n):
-            if r != colix and d[r][colix] != 0:
-                g = d[r][colix]
-                d[r] = [x - g * y for x, y in zip(d[r], d[colix])]
-                inv[r] = [x - g * y for x, y in zip(inv[r], inv[colix])]
+    inv = inverse([[mt.value(order[i], order[j]) for i in range(n)]
+                   for j in range(n)])
     entries = {}
     for i in range(n):
         for j in range(n):
@@ -432,19 +397,14 @@ def _simple_character(table, lam, p, memo, stack):
 def _lower_block_candidates(datum, lam, p, base_label):
     """Regular weights of the same block strictly below lam within the
     weight support of the baby Verma at lam."""
-    bounds = []
-    total = [0] * datum.lattice_rank
-    for root in datum.positive_roots:
-        total = [t + (p - 1) * r for t, r in zip(total, root)]
     # enumerate x = lam - sum k_i alpha_i with 0 <= k_i <= (p-1) * c_i where
     # c_i is the coefficient of alpha_i in the sum of positive roots
     coeff_bound = [0] * datum.rank
     for cf in datum.root_coeffs:
         for i in range(datum.rank):
             coeff_bound[i] += (p - 1) * cf[i]
-    from itertools import product as _product
     out = []
-    for ks in _product(*[range(b + 1) for b in coeff_bound]):
+    for ks in product(*[range(b + 1) for b in coeff_bound]):
         if not any(ks):
             continue
         x = lam

@@ -560,7 +560,7 @@ def cmd_draw(args):
     if args.bound < 0:
         raise ConfigError("--bound must be >= 0, got %d" % args.bound)
     datum = _build_datum(args)
-    if datum.lattice_rank != 2 or datum.rank != 2:
+    if datum.rank != 2:
         raise ConfigError("drawing needs a rank-2 semisimple datum")
     pred, labels = _shading(datum, args.shade)
     embed = _embedding(datum)

@@ -420,6 +420,26 @@ _CACHE_MAGIC = b"AFKL"
 _CACHE_VERSION = 1
 
 
+def _shaped_like_kl(u, support):
+    """Cheap necessary conditions on the KL element of u in W: coefficient 1
+    at u, and at every other key y an element of W with l(y) < l(u) whose
+    coefficient lies in vZ[v], has degree <= l(u) - l(y) and has the parity
+    of l(u) - l(y)."""
+    if support.get(u) != 1:
+        return False
+    lu = u.length()
+    for y, p in support.items():
+        if y == u:
+            continue
+        if not u.datum.in_root_lattice(y.trans):
+            return False
+        # 1 <= e <= d forces l(y) < l(u); zero coefficients are dropped
+        d = lu - y.length()
+        if any(e < 1 or e > d or (d - e) % 2 for e in p.coeffs):
+            return False
+    return True
+
+
 class KLCache:
     """Append-only on-disk memo for KL elements.
 
@@ -427,7 +447,8 @@ class KLCache:
     32 bytes of the digest), then records of the form
     ``u32 key_len | key | u32 val_len | val | u32 crc32(key + val)``.
     Keys are element texts; values are JSON support maps.  Torn or corrupted
-    tail records are skipped (and recomputed), never trusted.
+    tail records are skipped (and recomputed), never trusted; so is a record
+    whose content fails the checks of ``get``.
     """
 
     def __init__(self, path, datum):
@@ -480,13 +501,22 @@ class KLCache:
                 continue
 
     def get(self, datum, u):
-        raw = self.mem.get(weyl.to_text(u))
+        """The stored KL element of u in W, or None.  A record that is not
+        shaped like one is dropped, so the caller recomputes and re-appends
+        it; see _shaped_like_kl."""
+        key = weyl.to_text(u)
+        raw = self.mem.get(key)
         if raw is None:
             return None
-        return HeckeElem(datum, {
-            weyl.from_text(datum, wt): LaurentPoly.from_pairs(pairs)
-            for wt, pairs in raw.items()
-        })
+        try:
+            support = {weyl.from_text(datum, wt): LaurentPoly.from_pairs(pairs)
+                       for wt, pairs in raw.items()}
+        except (AttributeError, TypeError, ValueError):
+            support = None
+        if support is None or not _shaped_like_kl(u, support):
+            del self.mem[key]
+            return None
+        return HeckeElem(datum, support)
 
     def put(self, datum, u, elem):
         key = weyl.to_text(u)

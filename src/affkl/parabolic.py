@@ -271,7 +271,7 @@ def twisted_embed(datum, lam, support):
     oinv = weyl.invert(omega)
     out = {}
     for w, p in support.items():
-        if not weyl._in_root_lattice(datum, w.trans):
+        if not datum.in_root_lattice(w.trans):
             raise ValueError("twisted support must lie in the affine group")
         key = weyl.multiply(oinv, w)
         if not weyl.is_fWext(key):

@@ -17,13 +17,13 @@ algebra action but twists it by the conjugation automorphism of the
 generating set (tested as a law in the suite).
 
 The canonical basis element attached to an alcove A is computed from
-Lusztig's closed formula: take the box representative mu above A, act on the
-explicit canonical element of the box by the KL basis element of the
+Lusztig's closed formula: take the box representative mu above A and act on
+the explicit canonical element of the box by the KL basis element of the
 translated-longest-element times the alcove label (the table-driven variant
-substitutes the table column), and divide exactly by the box normalizer (a
-Poincare polynomial in v^2).  Each coset of the twisted finite parabolic in
-the column acts as the normalizer times its top term, so the formula acts
-by the coset tops alone and divides by nothing (see _lusztig_formula).
+substitutes the table column).  Each coset of the twisted finite parabolic
+in that column would act as the box normalizer (a Poincare polynomial in
+v^2) times its top term, so the formula acts by the coset tops alone and
+divides by nothing (see _lusztig_formula).
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def per_act(x, h):
         raise ValueError("periodic element and algebra element disagree on datum")
     out = {}
     for y, q in h.support.items():
-        if not weyl._in_root_lattice(x.datum, y.trans):  # y not in W
+        if not x.datum.in_root_lattice(y.trans):  # y not in W
             raise ValueError(
                 "the periodic action is defined for the non-extended algebra"
             )

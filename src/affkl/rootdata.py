@@ -1,7 +1,9 @@
 """Root data: Cartan matrices, weights, pairings, rho and related constants.
 
 A :class:`RootDatum` packages a finite crystallographic root system embedded
-in a character lattice X = Z^lattice_rank:
+in a character lattice X = Z^rank.  Only the setting of the character
+formula is supported: simply-connected semisimple data, whose simple
+coroots form a basis of the cocharacter lattice.
 
 * ``simple_roots`` are vectors in lattice coordinates,
 * ``simple_coroots`` are covectors (pairing is the plain dot product),
@@ -19,8 +21,9 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from itertools import product
 
-from ._intlinalg import canonical_solution, smith_normal_form, solve_int
+from ._intlinalg import inverse, smith_normal_form
 
 __all__ = [
     "RootDatum",
@@ -184,81 +187,56 @@ class RootDatum:
         self.root_coeffs = tuple(it[2] for it in items)
 
     def _compute_constants(self):
-        m = self.lattice_rank
+        n = self.rank
+        if self.lattice_rank != n:
+            raise ValueError("only semisimple data are supported: the lattice "
+                             "has rank %d, the root system %d"
+                             % (self.lattice_rank, n))
+        # The coroots form a basis of the cocharacter lattice exactly when
+        # their matrix has an integral inverse; then every pairing vector is
+        # the pairings of one integer weight.
+        inv = inverse(self.simple_coroots)
+        if any(x.denominator != 1 for row in inv for x in row):
+            raise ValueError("the lattice is not simply connected: the simple "
+                             "coroots do not span the cocharacter lattice")
+        self._coroot_inverse = tuple(tuple(int(x) for x in row) for row in inv)
         self.rho = tuple(
-            sum(Fraction(r[k]) for r in self.positive_roots) / 2 for k in range(m)
+            sum(Fraction(r[k]) for r in self.positive_roots) / 2 for k in range(n)
         )
         # Coxeter number: 1 + height of the highest root.
         self.coxeter_number = 1 + max(self.root_heights)
-        # varsigma: integer weight pairing to 1 with every simple coroot.
-        rows = [list(c) for c in self.simple_coroots]
-        sol = canonical_solution(rows, [1] * self.rank)
-        if sol is None:
-            raise ValueError(
-                "no integer weight pairs to 1 with every simple coroot; "
-                "this lattice is not supported"
-            )
-        self.varsigma = tuple(sol)
-        self.is_semisimple = self.rank == self.lattice_rank
-        if self.is_semisimple:
-            root_cols = [
-                [self.simple_roots[j][i] for j in range(self.rank)]
-                for i in range(self.rank)
-            ]
-            self._snf_d, self._snf_p = smith_normal_form(root_cols)
-        else:
-            self._snf_d = self._snf_p = None
+        # varsigma: the weight pairing to 1 with every simple coroot.
+        self.varsigma = self.weight_with_pairings([1] * n)
+        root_cols = [[r[i] for r in self.simple_roots] for i in range(n)]
+        self._snf_d, self._snf_p = smith_normal_form(root_cols)
 
     # -- queries -----------------------------------------------------------
 
     def in_root_lattice(self, weight):
         """True iff the integer weight lies in the lattice spanned by the roots."""
-        cols = [
-            [r[i] for r in self.simple_roots] for i in range(self.lattice_rank)
-        ]
-        return solve_int(cols, list(weight)) is not None
+        return not any(self.root_lattice_class(weight))
 
     def root_lattice_class(self, weight):
-        """A hashable key identifying weight + (root lattice); semisimple only."""
-        if not self.is_semisimple:
-            raise ValueError("quotient classes need a semisimple datum")
-        v = [sum(self._snf_p[i][j] * weight[j] for j in range(self.rank))
-             for i in range(self.rank)]
-        key = []
-        for vi, di in zip(v, self._snf_d):
-            if di == 0:
-                key.append(vi)
-            else:
-                key.append(vi % di)
-        return tuple(key)
+        """A hashable key identifying weight + (root lattice)."""
+        return tuple(
+            sum(pij * wj for pij, wj in zip(row, weight)) % di
+            for row, di in zip(self._snf_p, self._snf_d)
+        )
 
     def quotient_representatives(self):
-        """Representatives of X / (root lattice), semisimple case (finite)."""
-        if not self.is_semisimple:
-            raise ValueError("the quotient is infinite for non-semisimple data")
-        if any(d == 0 for d in self._snf_d):
-            raise ValueError("degenerate root span")
-        # weight with root_lattice_class == key: solve p @ w == residues mod d
-        reps = {}
-        from itertools import product as _product
-        for residues in _product(*[range(d) for d in self._snf_d]):
-            target = list(residues)
-            # p is unimodular: w = p^{-1} @ target (solve exactly over Z)
-            sol = solve_int([list(row) for row in self._snf_p], target)
-            w = tuple(sol[0])
-            reps[self.root_lattice_class(w)] = w
-        return [reps[k] for k in sorted(reps)]
+        """Representatives of the finite group X / (root lattice), ordered by
+        their class keys."""
+        # p is unimodular: p^{-1} @ residues has the class key residues
+        p_inv = inverse(self._snf_p)
+        return [
+            tuple(int(pair(row, residues)) for row in p_inv)
+            for residues in product(*[range(d) for d in self._snf_d])
+        ]
 
     def weight_with_pairings(self, targets):
-        """The canonical integer weight whose pairing with the i-th simple
-        coroot is targets[i]."""
-        sol = canonical_solution([list(c) for c in self.simple_coroots],
-                                 list(targets))
-        if sol is None:  # pragma: no cover - varsigma existence rules this out
-            raise RuntimeError(
-                "no integer weight has the pairings %s; internal consistency "
-                "failure" % (tuple(targets),))
-        return tuple(sol)
+        """The integer weight whose pairing with the i-th simple coroot is
+        targets[i]."""
+        return tuple(pair(row, targets) for row in self._coroot_inverse)
 
     def weight_in_lattice_p_multiple(self, weight, p):
         """Return mu with weight == p * mu if one exists in X, else None."""
@@ -306,6 +284,19 @@ def _simply_connected(cartan, label):
     return RootDatum(cartan, roots, coroots, n, label=label)
 
 
+def _int_matrix(field, rows, width=None):
+    """rows, if it is a non-empty list of integer lists of length ``width``
+    (by default the length of the first); else a ValueError naming field."""
+    if not (isinstance(rows, list) and rows and isinstance(rows[0], list)):
+        raise ValueError("%s must be a non-empty list of integer lists" % field)
+    width = len(rows[0]) if width is None else width
+    if not all(isinstance(row, list) and len(row) == width
+               and all(type(x) is int for x in row) for row in rows):
+        raise ValueError("%s must be a list of lists of %d integers"
+                         % (field, width))
+    return rows
+
+
 def build_root_datum(spec):
     """Build a RootDatum from a config mapping.
 
@@ -333,6 +324,8 @@ def build_root_datum(spec):
         cartan = named
         label = name[0].upper() + name[1:]
     elif cartan is not None:
+        if len(_int_matrix("cartan", cartan)[0]) != len(cartan):
+            raise ValueError("cartan must be a square matrix")
         label = "custom"
     else:
         raise ValueError("config must give a type or a Cartan matrix")
@@ -345,5 +338,7 @@ def build_root_datum(spec):
         coroots = body["coroots"]
         if not roots:
             raise ValueError("the lattice lists no simple roots")
-        return RootDatum(cartan, roots, coroots, len(roots[0]), label=label)
+        m = len(_int_matrix("roots", roots)[0])
+        _int_matrix("coroots", coroots, m)
+        return RootDatum(cartan, roots, coroots, m, label=label)
     raise ValueError("unsupported lattice description %r" % (lattice,))

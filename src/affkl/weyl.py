@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._intlinalg import inverse
 from .rootdata import add_weights, neg_weight, pair, scale_weight, sub_weights
 
 __all__ = [
@@ -82,19 +83,7 @@ def _mat_inv(datum, mat):
     cache = datum.memo.entry("matrix_inverse")
     if mat in cache:
         return cache[mat]
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        f = a[col][col]
-        a[col] = [v / f for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                g = a[r][col]
-                a[r] = [v - g * w for v, w in zip(a[r], a[col])]
-    inv = tuple(tuple(int(a[i][n + j]) for j in range(n)) for i in range(n))
+    inv = tuple(tuple(int(x) for x in row) for row in inverse(mat))
     cache[mat] = inv
     cache[inv] = mat
     return inv
@@ -342,12 +331,6 @@ def omega_of_weight(datum, weight):
     return memo[weight]
 
 
-def _in_root_lattice(datum, weight):
-    if datum.is_semisimple:
-        return all(v == 0 for v in datum.root_lattice_class(weight))
-    return datum.in_root_lattice(weight)
-
-
 def omega_decompose(x):
     """x = omega * w with l(omega) = 0 and w in W (trans in the root lattice).
 
@@ -355,10 +338,7 @@ def omega_decompose(x):
     """
     datum = x.datum
     cache = datum.memo.entry("omega_by_class")
-    if datum.is_semisimple:
-        cls = datum.root_lattice_class(x.trans)
-    else:
-        cls = x.trans  # no finite quotient; memoize per translation
+    cls = datum.root_lattice_class(x.trans)
     omega = cache.get(cls)
     if omega is None:
         omega, _ = omega_of_weight(datum, x.trans)
@@ -370,7 +350,7 @@ def omega_decompose(x):
 
 
 def omega_elements(datum):
-    """The finite group Omega, ordered by quotient-class key (semisimple)."""
+    """The finite group Omega, ordered by quotient-class key."""
     return datum.memo.entry("omega_elements", lambda: tuple(
         omega_of_weight(datum, rep)[0]
         for rep in datum.quotient_representatives()
@@ -486,7 +466,7 @@ def is_min_in_coset(w, parabolic):
 
 def is_fW(w):
     """Minimal in W_f w and a member of W."""
-    if not _in_root_lattice(w.datum, w.trans):
+    if not w.datum.in_root_lattice(w.trans):
         return False
     return is_min_in_coset(w, finite_generators(w.datum))
 
@@ -573,13 +553,9 @@ def enumerate_fWext(datum, max_len):
 
 
 def sort_key(x):
-    """Deterministic total order key on W_ext elements (semisimple data)."""
+    """Deterministic total order key on W_ext elements."""
     omega, w = omega_decompose(x)
-    if x.datum.is_semisimple:
-        oix = omega_elements(x.datum).index(omega)
-    else:
-        oix = omega.trans
-    return (x.length(), reduced_word(w), oix)
+    return (x.length(), reduced_word(w), omega_elements(x.datum).index(omega))
 
 
 # ---------------------------------------------------------------------------

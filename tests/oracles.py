@@ -21,6 +21,9 @@ production algorithm, so agreement is evidence rather than tautology:
 * ``canonical_P_by_division`` is Lusztig's periodic formula as written: act
   on the box star by every term of the column and divide by the box
   normalizer, with no use of the column's coset structure.
+* ``coset_constancy`` checks that the v = 1 values of a column of
+  w_f * w are constant on finite cosets, finding each coset's shortest
+  element by brute force over W_f.
 """
 
 from __future__ import annotations
@@ -245,3 +248,26 @@ def canonical_P_by_division(alcove, column):
         assert q is not None, "normalizer division is not exact at %r" % (a,)
         out[a] = q
     return periodic.PeriodicElem(datum, out)
+
+
+def coset_constancy(table, w):
+    """True iff the v = 1 values of the column of w_f * w are constant on
+    finite-Weyl-group cosets (including zeros in the coset closure)."""
+    datum = w.datum
+    if not weyl.is_fW(w):
+        raise ValueError("index must be minimal in its finite coset")
+    wf = weyl.longest_element(datum)
+    col = table.column(weyl.multiply(wf, w))
+    values = {z: p.evaluate_at_one() for z, p in col.items()}
+    finite = weyl.finite_elements(datum)
+    seen_reps = set()
+    for z in values:
+        # the shortest element of the coset W_f * z
+        rep = min((weyl.multiply(x, z) for x in finite), key=weyl.length)
+        if rep in seen_reps:
+            continue
+        seen_reps.add(rep)
+        coset_vals = {values.get(weyl.multiply(x, rep), 0) for x in finite}
+        if len(coset_vals) > 1:
+            return False
+    return True

@@ -65,18 +65,30 @@ def test_empty_draw_window_exits_2(capsys):
     assert err == "error: --bound 0 holds no alcove\n"
 
 
-@pytest.mark.parametrize("flag, doc", [
-    ("--table", '[]'),
-    ("--table", '{"schema":1,"p":5,"entries":[]}'),
-    ("--table", '{"schema":1,"p":5,"entries":{"e":5}}'),
-    ("--table", '{"schema":1,"p":5,"entries":{"e":{"e":5}}}'),
-    ("--table", '{"schema":1,"p":5,"entries":{"e":{"e":[[0,1]]}},"datum":5}'),
-    ("--datum-json", '[]'),
-    ("--datum-json", '5'),
-    ("--datum-json", '{"type":"A1","lattice":{"roots":[],"coroots":[]}}'),
+@pytest.mark.parametrize("flag, doc, names", [
+    ("--table", '[]', "JSON object"),
+    ("--table", '{"schema":1,"p":5,"entries":[]}', "entries"),
+    ("--table", '{"schema":1,"p":5,"entries":{"e":5}}', "column of e"),
+    ("--table", '{"schema":1,"p":5,"entries":{"e":{"e":5}}}', "(e, e)"),
+    ("--table", '{"schema":1,"p":5,"entries":{"e":{"e":[[0,1]]}},"datum":5}',
+     "datum field"),
+    ("--datum-json", '[]', "JSON object"),
+    ("--datum-json", '5', "JSON object"),
+    ("--datum-json", '{"type":"A1","lattice":{"roots":[],"coroots":[]}}',
+     "simple roots"),
+    ("--datum-json", '{"cartan": []}', ": cartan must"),
+    ("--datum-json", '{"cartan": [[2, -1]]}', ": cartan must"),
+    ("--datum-json", '{"type":"A1","lattice":{"roots":[2],"coroots":[1]}}',
+     ": roots must"),
+    ("--datum-json", '{"type":"A2","lattice":{"roots":[[2,-1],[-1]],'
+                     '"coroots":[[1,0],[0,1]]}}', ": roots must"),
+    ("--datum-json", '{"type":"A2","lattice":{"roots":[[2,-1],[-1,2]],'
+                     '"coroots":[[1,0],[0]]}}', ": coroots must"),
 ], ids=["table-list", "entries-list", "column-number", "entry-number",
-        "table-datum-number", "datum-list", "datum-number", "datum-no-roots"])
-def test_malformed_document_exits_2(tmp_path, capsys, flag, doc):
+        "table-datum-number", "datum-list", "datum-number", "datum-no-roots",
+        "cartan-empty", "cartan-not-square", "roots-not-lists", "roots-ragged",
+        "coroots-ragged"])
+def test_malformed_document_exits_2(tmp_path, capsys, flag, doc, names):
     path = tmp_path / "doc.json"
     path.write_text(doc)
     if flag == "--table":
@@ -86,6 +98,40 @@ def test_malformed_document_exits_2(tmp_path, capsys, flag, doc):
     code, out, err = _run(capsys, *argv, flag, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: invalid ")
+    assert names in err
+
+
+# Only simply-connected semisimple data are supported.  GL2 has a lattice of
+# rank 2 under a rank-1 root system; SL4/mu2 is type A3 on a lattice whose
+# simple coroots span an index-2 sublattice of the cocharacters.
+_GL2 = '{"type":"A1","lattice":{"roots":[[1,-1]],"coroots":[[1,-1]]}}'
+_SL4_MU2 = ('{"type":"A3","lattice":{"roots":[[1,0,0],[0,1,0],[-3,-2,2]],'
+            '"coroots":[[2,-1,2],[-1,2,0],[0,-1,0]]}}')
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (_GL2, ["compute", "kl", "--elem", "s1"], "only semisimple data"),
+    (_GL2, ["verify", "main"], "only semisimple data"),
+    (_SL4_MU2, ["verify", "periodic"], "not simply connected"),
+    (_SL4_MU2, ["compute", "qa", "--alcove", "s0"], "not simply connected"),
+], ids=["gl2-kl", "gl2-main", "sl4mu2-periodic", "sl4mu2-qa"])
+def test_unsupported_datum_exits_2(tmp_path, capsys, doc, argv, message):
+    path = tmp_path / "datum.json"
+    path.write_text(doc)
+    code, out, err = _run(capsys, *argv, "--datum-json", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid datum: ") and message in err
+
+
+def test_simply_connected_datum_in_other_coordinates_verifies(tmp_path, capsys):
+    # A2 with simple coroots forming a unimodular, non-identity basis
+    path = tmp_path / "datum.json"
+    path.write_text('{"type":"A2","lattice":{"roots":[[3,-1],[-3,2]],'
+                    '"coroots":[[1,1],[0,1]]}}')
+    code, out, err = _run(capsys, "verify", "all", "--datum-json", str(path),
+                          "--max-len", "3")
+    assert code == 0, err
+    assert json.loads(out)["ok"] is True
 
 
 @pytest.mark.parametrize("suite", ["orders", "main", "periodic", "all"])

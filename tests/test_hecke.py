@@ -1,11 +1,15 @@
 """Hecke algebra: Laurent arithmetic, bar involution, canonical basis,
 table validation, and the binary disk cache."""
 
+import json
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affkl import hecke, rootdata, weyl
+from affkl.cli import main
 from affkl.hecke import (
     KLCache, LaurentPoly, PCanonicalTable, TableValidationError,
     builtin_kl_table, one, v, vinv,
@@ -234,3 +238,92 @@ def test_disk_cache_never_answers_for_another_datum(tmp_path):
     assert len(elems) == 41
     for w, same in zip(elems, weyl.enumerate_W(cache_free, 5)):
         assert hecke.kl_basis(w) == hecke.kl_basis(same), weyl.to_text(w)
+
+
+def _a1_kl_s0s1(a1):
+    """u = s0 s1 and its KL element H_u + v H_s0 + v H_s1 + v^2 H_e."""
+    s0, s1 = weyl.all_generators(a1)
+    u = weyl.multiply(s0, s1)
+    return u, {u: one, s0: v, s1: v, weyl.identity(a1): v * v}
+
+
+@pytest.mark.parametrize("case", [
+    "top-not-1", "top-missing", "key-outside-W", "key-not-shorter",
+    "constant-term", "degree-too-high", "wrong-parity",
+])
+def test_cache_drops_records_not_shaped_like_kl(tmp_path, a1, case):
+    u, support = _a1_kl_s0s1(a1)
+    s0, s1 = weyl.all_generators(a1)
+    e = weyl.identity(a1)
+    if case == "top-not-1":
+        support[u] = one + one
+    elif case == "top-missing":
+        del support[u]
+    elif case == "key-outside-W":  # length 0, so only W membership fails
+        support[weyl.omega_elements(a1)[1]] = v * v
+    elif case == "key-not-shorter":
+        support[weyl.multiply(s1, s0)] = v
+    elif case == "constant-term":
+        support[e] = one
+    elif case == "degree-too-high":
+        support[s0] = v * v * v
+    else:
+        support[e] = v
+    path = str(tmp_path / "a1.klcache")
+    KLCache(path, a1).put(a1, u, hecke.HeckeElem(a1, support))
+    again = KLCache(path, a1)  # the record's CRC is valid
+    assert weyl.to_text(u) in again.mem
+    assert again.get(a1, u) is None
+    assert weyl.to_text(u) not in again.mem  # dropped, to be recomputed
+
+
+def test_cache_keeps_a_record_shaped_like_kl(tmp_path, a1):
+    u, support = _a1_kl_s0s1(a1)
+    path = str(tmp_path / "a1.klcache")
+    KLCache(path, a1).put(a1, u, hecke.HeckeElem(a1, support))
+    assert KLCache(path, a1).get(a1, u) == hecke.HeckeElem(a1, support)
+
+
+def test_tampered_record_of_e_is_recomputed(tmp_path, capsys, monkeypatch):
+    # A CRC-valid record claiming KL(e) = v^2 H_e was once printed as is.
+    a1 = rootdata.build_root_datum("A1")
+    e = weyl.identity(a1)
+    path = tmp_path / ("A1-%s.klcache" % a1.datum_hash[:16])
+    KLCache(str(path), a1).put(a1, e, hecke.HeckeElem(a1, {e: v * v}))
+    size = path.stat().st_size
+    monkeypatch.setenv("AFFKL_CACHE_DIR", str(tmp_path))
+    assert main(["compute", "kl", "--type", "A1", "--elem", "e"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == [{"coefficient": [[0, 1]], "index": "e"}]
+    assert path.stat().st_size > size  # the true record was re-appended
+    assert KLCache(str(path), a1).get(a1, e) == hecke.unit(a1)
+
+
+def test_warm_cache_round_trip(tmp_path):
+    cold = rootdata.build_root_datum("C2")
+    path = str(tmp_path / "c2.klcache")
+    hecke.set_disk_cache(KLCache(path, cold))
+    elems = weyl.enumerate_W(cold, 4)
+    expected = [hecke.kl_basis(w) for w in elems]
+    size = os.path.getsize(path)
+    warm = rootdata.build_root_datum("C2")
+    cache = KLCache(path, warm)
+    hecke.set_disk_cache(cache)
+    loaded = len(cache.mem)
+    for w, want in zip(weyl.enumerate_W(warm, 4), expected):
+        got = hecke.kl_basis(w)
+        assert {weyl.to_text(k): p for k, p in got.support.items()} \
+            == {weyl.to_text(k): p for k, p in want.support.items()}
+    # every column came from the file: nothing dropped, nothing re-appended
+    assert len(cache.mem) == loaded
+    assert os.path.getsize(path) == size
+
+
+@pytest.mark.parametrize("raw", [
+    {"w: s9": [[0, 1]]}, {"e": [[0]]}, {"e": "x"}, [["e", [[0, 1]]]],
+], ids=["unknown-generator", "short-pair", "not-pairs", "not-a-map"])
+def test_cache_drops_records_it_cannot_decode(tmp_path, a1, raw):
+    cache = KLCache(str(tmp_path / "a1.klcache"), a1)
+    cache.mem["e"] = raw
+    assert cache.get(a1, weyl.identity(a1)) is None
+    assert "e" not in cache.mem

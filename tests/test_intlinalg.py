@@ -1,47 +1,62 @@
-"""Integer linear algebra helpers: exact solving, kernels, canonical picks."""
+"""Exact linear algebra helpers: the inverse over Q and Smith normal form."""
 
 from fractions import Fraction
+from itertools import permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affkl._intlinalg import canonical_solution, smith_normal_form, solve_int
+from affkl._intlinalg import inverse, smith_normal_form
 
 small_ints = st.integers(min_value=-4, max_value=4)
 
 
-def test_solve_int_simple():
-    x0, kernel = solve_int([[2, 0], [0, 3]], [4, 9])
-    assert x0 == [2, 3]
-    assert kernel == []
+def _det(a):
+    """Leibniz expansion: independent of any elimination."""
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = sign
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total
 
 
-def test_solve_int_underdetermined_has_kernel():
-    x0, kernel = solve_int([[1, 1]], [2])
-    assert x0[0] + x0[1] == 2
-    assert len(kernel) == 1
-    k = kernel[0]
-    assert k[0] + k[1] == 0 and k != [0, 0]
+def test_inverse_of_a_diagonal_matrix():
+    assert inverse([[2, 0], [0, 3]]) == [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
 
 
-def test_solve_int_no_solution():
-    assert solve_int([[2]], [3]) is None
+def test_inverse_of_a_unimodular_matrix_is_integral():
+    assert inverse([[1, 1], [0, 1]]) == [[1, -1], [0, 1]]
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.lists(small_ints, min_size=2, max_size=2),
-                min_size=2, max_size=2),
-       st.lists(small_ints, min_size=2, max_size=2))
-def test_solve_int_solutions_check_out(a, b):
-    res = solve_int(a, b)
-    if res is None:
+def test_inverse_rejects_a_singular_matrix():
+    with pytest.raises(ValueError, match="singular"):
+        inverse([[1, 2], [2, 4]])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_inverse_times_matrix_is_identity_or_matrix_is_singular(a):
+    n = len(a)
+    try:
+        inv = inverse(a)
+    except ValueError:
+        assert _det(a) == 0
         return
-    x0, kernel = res
-    for row, rhs in zip(a, b):
-        assert sum(r * x for r, x in zip(row, x0)) == rhs
-    for k in kernel:
-        for row in a:
-            assert sum(r * x for r, x in zip(row, k)) == 0
+    assert _det(a) != 0
+    for i in range(n):
+        for j in range(n):
+            assert sum(inv[i][k] * a[k][j] for k in range(n)) == int(i == j)
 
 
 def test_smith_normal_form_membership():
@@ -49,21 +64,3 @@ def test_smith_normal_form_membership():
     vec = [4, 3]
     img = [sum(p[i][j] * vec[j] for j in range(2)) for i in range(2)]
     assert all(img[i] % d[i] == 0 for i in range(2))
-
-
-def test_canonical_solution_minimizes_box_norm():
-    # one equation x + y = 0: the zero solution beats every other one
-    sol = canonical_solution([[1, 1]], [0])
-    assert sol == [0, 0]
-
-
-def test_canonical_solution_none_when_unsolvable():
-    assert canonical_solution([[2]], [1]) is None
-
-
-def test_canonical_solution_is_a_solution():
-    a = [[1, 2], [0, 1]]
-    sol = canonical_solution(a, [3, 1])
-    assert sol is not None
-    for row, rhs in zip(a, [3, 1]):
-        assert sum(r * x for r, x in zip(row, sol)) == rhs

@@ -77,7 +77,7 @@ def test_omega_decompose_reassembles(a2, data):
     x = data.draw(_elem_strategy(a2))
     omega, w = weyl.omega_decompose(x)
     assert omega.length() == 0
-    assert weyl._in_root_lattice(a2, w.trans)
+    assert a2.in_root_lattice(w.trans)
     assert weyl.multiply(omega, w) == x
 
 
