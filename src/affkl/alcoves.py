@@ -6,9 +6,10 @@ An :class:`Alcove` stores the W-element and derives an exact rational
 barycenter (the image of b0 = rho / h, an interior point of A_fund that has
 pairing 1/h with every wall).
 
-Left multiplication by any extended element acts on alcoves via the
-decomposition y*x = omega*w: the image alcove is (omega w omega^{-1})(A_fund),
-all in exact integer arithmetic.
+Left multiplication by any extended element y acts on alcoves via the
+decomposition y*x = omega*w: the image alcove is (y x omega^{-1})(A_fund),
+where y x omega^{-1} = omega w omega^{-1} lies in W, all in exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 
 from . import weyl
-from .rootdata import pair, scale_weight
+from .rootdata import pair, scale_weight, sub_weights
 
 __all__ = [
     "Alcove",
@@ -81,9 +82,12 @@ def fundamental_alcove(datum):
 
 def _set_stabilized(y):
     """Rewrite y in W_ext as an element of W with the same alcove image:
-    y = omega * w gives y(A_fund) = (omega w omega^{-1})(A_fund)."""
-    omega, w = weyl.omega_decompose(y)
-    return weyl.multiply(weyl.multiply(omega, w), weyl.invert(omega))
+    y = omega * w gives y(A_fund) = (omega w omega^{-1})(A_fund), and
+    omega w omega^{-1} = y omega^{-1}; y itself when omega is the identity."""
+    omega = weyl._omega_part(y)
+    if omega.is_identity():
+        return y
+    return weyl.multiply(y, weyl.invert(omega))
 
 
 def act_left(y, a):
@@ -129,20 +133,22 @@ def box_rep_above(a):
 
 
 def _conjugated_longest(datum, mu):
-    wf = weyl.longest_element(datum)
-    t = weyl.translation(datum, mu)
-    return weyl.multiply(weyl.multiply(t, wf), weyl.invert(t))
+    """t_mu w_f t_{-mu} = w_f t_{w_f(mu) - mu}, an element of W."""
+    wf = weyl.longest_element(datum).fin
+    return weyl.ExtElem(datum, wf, sub_weights(weyl._mat_apply(wf, mu), mu))
 
 
 def hat(a):
     """(t_mu w_f t_{-mu})(A) for mu = box_rep_below(A); lands in the box
     above mu."""
-    return act_left(_conjugated_longest(a.datum, box_rep_below(a)), a)
+    return Alcove(weyl.multiply(_conjugated_longest(a.datum, box_rep_below(a)),
+                                a.elem))
 
 
 def check(a):
     """Inverse of hat: uses mu = box_rep_above(A)."""
-    return act_left(_conjugated_longest(a.datum, box_rep_above(a)), a)
+    return Alcove(weyl.multiply(_conjugated_longest(a.datum, box_rep_above(a)),
+                                a.elem))
 
 
 def _dominant_shift(a):

@@ -226,8 +226,7 @@ def block_multiplicity_table(table, labels, p):
     for c in labels:
         if is_steinberg_type(datum, c, p):
             continue
-        base_label, _ = block_position(datum, c, p)
-        for x in _lower_block_candidates(datum, c, p, base_label):
+        for x in _lower_block_candidates(datum, c, p):
             if x in label_set:
                 continue
             if (projective_multiplicities_weight(table, x, p).get(c, 0)
@@ -377,9 +376,8 @@ def _simple_character(table, lam, p, memo, stack):
             "correction recursion cycles at %s; window insufficient" % (lam,)
         )
     stack.add(lam)
-    base_label, _ = block_position(datum, lam, p)
     out = dominant_part(datum, baby_verma_character(datum, lam, p))
-    for x in _lower_block_candidates(datum, lam, p, base_label):
+    for x in _lower_block_candidates(datum, lam, p):
         mult = projective_multiplicities_weight(table, x, p).get(lam, 0)
         if not mult:
             continue
@@ -394,27 +392,36 @@ def _simple_character(table, lam, p, memo, stack):
     return out
 
 
-def _lower_block_candidates(datum, lam, p, base_label):
-    """Regular weights of the same block strictly below lam within the
-    weight support of the baby Verma at lam."""
-    # enumerate x = lam - sum k_i alpha_i with 0 <= k_i <= (p-1) * c_i where
-    # c_i is the coefficient of alpha_i in the sum of positive roots
-    coeff_bound = [0] * datum.rank
-    for cf in datum.root_coeffs:
-        for i in range(datum.rank):
-            coeff_bound[i] += (p - 1) * cf[i]
+def _lower_block_candidates(datum, lam, p):
+    """Regular weights of the block of the regular weight lam strictly
+    below lam within the weight support of the baby Verma at lam.
+
+    These are the x = lam - sum k_i alpha_i, k != 0, with
+    0 <= k_i <= (p-1) * c_i, c_i the coefficient of alpha_i in the sum of
+    the positive roots.  Such an x is in the block (the dot_p-orbit of lam
+    under W) iff x + varsigma = z(lam + varsigma) + p beta for some z in W_f
+    and beta in the root lattice, that is k = d_z - p beta, d_z the root
+    coordinates of (lam + varsigma) - z(lam + varsigma).  So the block is
+    enumerated directly: per z, only the beta that keep k in the box."""
+    top = add_weights(lam, datum.varsigma)
+    cartan_inv = inverse(datum.cartan)
+    bound = [(p - 1) * sum(cf[i] for cf in datum.root_coeffs)
+             for i in range(datum.rank)]
     out = []
-    for ks in product(*[range(b + 1) for b in coeff_bound]):
-        if not any(ks):
-            continue
-        x = lam
-        for k, root in zip(ks, datum.simple_roots):
-            x = sub_weights(x, scale_weight(k, root))
-        if not _is_regular(datum, x, p):
-            continue
-        if block_position(datum, x, p)[0] != base_label:
-            continue
-        out.append(x)
+    for z in weyl.finite_elements(datum):
+        diff = sub_weights(top, weyl._mat_apply(z.fin, top))
+        pairings = [pair(diff, c) for c in datum.simple_coroots]
+        d = [int(pair(row, pairings)) for row in cartan_inv]
+        for beta in product(*[range(-((b - di) // p), di // p + 1)
+                              for di, b in zip(d, bound)]):
+            ks = [di - p * bi for di, bi in zip(d, beta)]
+            if not any(ks):
+                continue
+            x = lam
+            for k, root in zip(ks, datum.simple_roots):
+                x = sub_weights(x, scale_weight(k, root))
+            if _is_regular(datum, x, p):
+                out.append(x)
     return sorted(out, key=lambda w: (-_weight_height(datum, w), w))
 
 

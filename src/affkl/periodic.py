@@ -193,14 +193,26 @@ def canonical_P_fund(datum, mu):
     return cache[mu]
 
 
+def _twisted_finite(datum, mu):
+    """[(tau_mu(x), l(x)) for x in W_f], in finite_elements order, so
+    tau_mu(w_f) comes last.  tau_mu is conjugation by omega_mu, so the list
+    is memoized per omega_mu: at most |Omega| lists per datum."""
+    omega, _ = weyl.omega_of_weight(datum, mu)
+    cache = datum.memo.entry("periodic_twisted_finite")
+    if omega not in cache:
+        cache[omega] = [(weyl.tau(datum, mu, x), x.length())
+                        for x in weyl.finite_elements(datum)]
+    return cache[omega]
+
+
 def _coset_tops(datum, mu, column):
     """{w_mu k: col[k]} over the keys k that top their coset W_f' k, where
     W_f' = tau_mu(W_f), w_mu = tau_mu(w_f), and k is a top exactly when
-    l(w_mu k) = l(k) - l(w_f).  RuntimeError names the first key (in sort
-    order) that breaks col[z w_mu k] = v^{l(w_f) - l(z)} col[k] for z in
-    W_f' or lies in no such coset."""
-    twisted = [(weyl.tau(datum, mu, x), x.length())
-               for x in weyl.finite_elements(datum)]
+    l(w_mu k) = l(k) - l(w_f); W_f' and w_mu come from _twisted_finite.
+    RuntimeError names the first key (in sort order) that breaks
+    col[z w_mu k] = v^{l(w_f) - l(z)} col[k] for z in W_f' or lies in no
+    such coset."""
+    twisted = _twisted_finite(datum, mu)
     w_mu, lf = twisted[-1]
     column = {k: p for k, p in column.items() if not p.is_zero()}
     tops = {}
@@ -241,13 +253,14 @@ def _column_index(alcove):
     mu = alcoves.box_rep_above(alcove)
     _, x_mu = weyl.omega_of_weight(datum, mu)
     w = weyl.multiply(weyl.invert(x_mu), alcove.elem)
-    # w must be minimal in its coset under the twisted finite parabolic
-    twisted = [weyl.tau(datum, mu, s) for s in weyl.finite_generators(datum)]
-    if not weyl.is_min_in_coset(w, twisted):
+    # w must be minimal in its coset under the twisted finite parabolic,
+    # generated by the twisted simple reflections (the length-one entries)
+    twisted = _twisted_finite(datum, mu)
+    if not weyl.is_min_in_coset(w, [s for s, ls in twisted if ls == 1]):
         raise RuntimeError(
             "alcove label is not coset-minimal; internal consistency failure"
         )
-    return weyl.multiply(weyl.tau(datum, mu, weyl.longest_element(datum)), w)
+    return weyl.multiply(twisted[-1][0], w)
 
 
 def canonical_P(alcove):

@@ -331,11 +331,9 @@ def omega_of_weight(datum, weight):
     return memo[weight]
 
 
-def omega_decompose(x):
-    """x = omega * w with l(omega) = 0 and w in W (trans in the root lattice).
-
-    omega depends only on the class of trans(x) in X / (root lattice).
-    """
+def _omega_part(x):
+    """The length-zero factor omega of x = omega * w, memoized per class of
+    trans(x) in X / (root lattice), on which it only depends."""
     datum = x.datum
     cache = datum.memo.entry("omega_by_class")
     cls = datum.root_lattice_class(x.trans)
@@ -345,8 +343,13 @@ def omega_decompose(x):
         if omega.length() != 0:
             raise RuntimeError("omega part has nonzero length")
         cache[cls] = omega
-    w = multiply(invert(omega), x)
-    return omega, w
+    return omega
+
+
+def omega_decompose(x):
+    """x = omega * w with l(omega) = 0 and w in W (trans in the root lattice)."""
+    omega = _omega_part(x)
+    return omega, multiply(invert(omega), x)
 
 
 def omega_elements(datum):
@@ -426,13 +429,16 @@ def bruhat_leq(x, y):
     """Bruhat order on W_ext.
 
     Returns True/False for elements in the same Omega-coset and None
-    ("incomparable") otherwise.
+    ("incomparable") otherwise.  Elements of W are compared as they are;
+    others have their common omega stripped first.
     """
-    ox, wx = omega_decompose(x)
-    oy, wy = omega_decompose(y)
-    if ox != oy:
+    omega = _omega_part(x)
+    if omega != _omega_part(y):
         return None
-    return _bruhat_w(wx, wy)
+    if omega.is_identity():
+        return _bruhat_w(x, y)
+    inv = invert(omega)
+    return _bruhat_w(multiply(inv, x), multiply(inv, y))
 
 
 def _bruhat_w(u, w):

@@ -24,15 +24,23 @@ production algorithm, so agreement is evidence rather than tautology:
 * ``coset_constancy`` checks that the v = 1 values of a column of
   w_f * w are constant on finite cosets, finding each coset's shortest
   element by brute force over W_f.
+* ``set_stabilized_by_conjugation``, ``conjugated_longest_by_products``,
+  ``bruhat_leq_by_stripping`` and ``twisted_finite_by_tau`` build by group
+  products what the alcove, Weyl-group and periodic layers read off in
+  closed form or from a memo: omega w omega^{-1}, t_mu w_f t_{-mu}, the
+  Bruhat order after stripping omega, and tau_mu on W_f element by element.
+* ``lower_block_candidates_by_walk`` scans the box below a weight and keeps
+  the points whose alcove walk ends at the weight's own base weight.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from affkl import alcoves, hecke, parabolic, periodic, weyl
+from affkl import alcoves, characters, hecke, parabolic, periodic, weyl
 from affkl.hecke import LaurentPoly
-from affkl.rootdata import pair, scale_weight
+from affkl.rootdata import pair, scale_weight, sub_weights
 
 
 def bfs_lengths(datum, max_len):
@@ -271,3 +279,55 @@ def coset_constancy(table, w):
         if len(coset_vals) > 1:
             return False
     return True
+
+
+def set_stabilized_by_conjugation(y):
+    """The element of W with the alcove image of y in W_ext:
+    omega w omega^{-1} for y = omega * w, by two products."""
+    omega, w = weyl.omega_decompose(y)
+    return weyl.multiply(weyl.multiply(omega, w), weyl.invert(omega))
+
+
+def conjugated_longest_by_products(datum, mu):
+    """t_mu w_f t_{-mu} as a product of three group elements."""
+    t = weyl.translation(datum, mu)
+    return weyl.multiply(weyl.multiply(t, weyl.longest_element(datum)),
+                         weyl.invert(t))
+
+
+def bruhat_leq_by_stripping(x, y):
+    """The Bruhat order on W_ext with omega stripped off both sides,
+    whatever omega is: None across Omega-cosets."""
+    ox, wx = weyl.omega_decompose(x)
+    oy, wy = weyl.omega_decompose(y)
+    if ox != oy:
+        return None
+    return weyl._bruhat_w(wx, wy)
+
+
+def twisted_finite_by_tau(datum, mu):
+    """[(tau_mu(x), l(x)) for x in W_f], one weyl.tau call per element."""
+    return [(weyl.tau(datum, mu, x), x.length())
+            for x in weyl.finite_elements(datum)]
+
+
+def lower_block_candidates_by_walk(datum, lam, p):
+    """Regular weights x = lam - sum k_i alpha_i, k != 0 in the box
+    0 <= k_i <= (p-1) c_i, whose block_position (an alcove walk) has the
+    base weight of lam; sorted by descending height, then by weight."""
+    base = characters.block_position(datum, lam, p)[0]
+    bound = [(p - 1) * sum(cf[i] for cf in datum.root_coeffs)
+             for i in range(datum.rank)]
+    out = []
+    for ks in product(*[range(b + 1) for b in bound]):
+        if not any(ks):
+            continue
+        x = lam
+        for k, root in zip(ks, datum.simple_roots):
+            x = sub_weights(x, scale_weight(k, root))
+        if not characters._is_regular(datum, x, p):
+            continue
+        if characters.block_position(datum, x, p)[0] == base:
+            out.append(x)
+    return sorted(out, key=lambda w: (
+        -sum(pair(w, c) for c in datum.positive_coroots), w))

@@ -1,5 +1,6 @@
 """Alcove geometry: actions, box representatives, hat/check, generic order."""
 
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 
 from affkl import alcoves, rootdata, weyl
 from affkl.rootdata import neg_weight, pair
-from oracles import generic_leq_by_stepping
+from oracles import (conjugated_longest_by_products, generic_leq_by_stepping,
+                     set_stabilized_by_conjugation)
+
+LABELS = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"]
 
 
 def _alcove_strategy(datum, max_word=5):
@@ -52,6 +56,35 @@ def test_left_action_composes(c2, data):
     y = alcoves.to_weyl(data.draw(_alcove_strategy(c2, max_word=3)))
     assert alcoves.act_left(weyl.multiply(x, y), a) \
         == alcoves.act_left(x, alcoves.act_left(y, a))
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_set_stabilized_matches_conjugation(label):
+    """y omega^{-1} equals omega w omega^{-1} for y = omega * w, on elements
+    twisted by every omega from either side and on bare translations."""
+    d = rootdata.build_root_datum(label)
+    rng = random.Random(label)
+    twisted = 0
+    for w in weyl.enumerate_W(d, 3):
+        for om in weyl.omega_elements(d):
+            mu = tuple(rng.randint(-3, 3) for _ in range(d.lattice_rank))
+            for y in (weyl.multiply(w, om), weyl.multiply(om, w),
+                      weyl.translation(d, mu)):
+                z = alcoves._set_stabilized(y)
+                assert z == set_stabilized_by_conjugation(y), y
+                assert d.in_root_lattice(z.trans)
+                twisted += not weyl.omega_decompose(y)[0].is_identity()
+    assert twisted or len(weyl.omega_elements(d)) == 1
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_conjugated_longest_matches_products(label):
+    d = rootdata.build_root_datum(label)
+    span = range(-2, 3) if d.rank < 3 else range(-1, 2)
+    for mu in itertools.product(span, repeat=d.lattice_rank):
+        x = alcoves._conjugated_longest(d, mu)
+        assert x == conjugated_longest_by_products(d, mu), mu
+        assert d.in_root_lattice(x.trans)
 
 
 def test_box_representatives(a1, c2):

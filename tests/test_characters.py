@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affkl import alcoves, characters as ch, hecke, parabolic, rootdata, weyl
-from oracles import coset_constancy, sl2_simple_character
+from oracles import (coset_constancy, lower_block_candidates_by_walk,
+                     sl2_simple_character)
 
 
 # -- the two routes to the baby Verma multiplicities of an alcove -------------
@@ -43,6 +44,28 @@ def test_block_position_roundtrip(a1):
         assert weyl.dot_p(w, base, 5) == (lam,)
         # the base weight lies in the interior of the fundamental p-alcove
         assert 0 < base[0] + 1 < 5
+
+
+@pytest.mark.parametrize("label, p, weights", [
+    ("A1", 5, [(lam,) for lam in range(-3, 15) if (lam + 1) % 5]),
+    ("A1", 7, [(lam,) for lam in range(-3, 21) if (lam + 1) % 7]),
+    ("A2", 5, [(0, 0), (1, 1), (3, 1), (2, 0), (7, 2), (8, 6), (-3, -2)]),
+    ("A2", 7, [(0, 0), (5, 5), (9, 2), (1, 3), (-2, -3)]),
+    ("B2", 7, [(0, 0), (1, 2), (9, 2), (-2, 1)]),
+    ("B2", 11, [(1, 2), (13, 0)]),
+    ("C2", 7, [(0, 0), (2, 1), (3, 8), (-4, 1)]),
+    ("C2", 11, [(2, 1), (0, 14)]),
+    ("G2", 11, [(1, 1)]),
+    ("G2", 13, [(13, 2)]),
+])
+def test_lower_block_candidates_match_walk_filter(label, p, weights):
+    """The directly enumerated block equals the box scan filtered by alcove
+    walks, on regular weights inside and outside the restricted box."""
+    d = rootdata.build_root_datum(label)
+    for lam in weights:
+        assert ch._is_regular(d, lam, p), lam
+        assert ch._lower_block_candidates(d, lam, p) \
+            == lower_block_candidates_by_walk(d, lam, p), lam
 
 
 def test_steinberg_detection(a1):
@@ -111,6 +134,13 @@ def test_simple_characters_match_closed_form(a1, a1_table):
             assert got == sl2_simple_character(lam, p), (p, lam)
 
 
+def test_simple_character_at_large_p(a1, a1_table):
+    """The block is enumerated without a walk per box point, so a large p
+    costs only the baby Verma character."""
+    assert ch.simple_character(a1_table, (3,), 10007) \
+        == sl2_simple_character(3, 10007)
+
+
 def test_simple_character_accepts_element_label(a1, a1_table):
     w = weyl.translation(a1, (-1,))
     lam = weyl.dot_p(w, (0,), 5)
@@ -133,6 +163,26 @@ def test_simple_character_refuses_small_p(a1, a1_table):
 def test_wrong_dimension_weight_is_refused(a1, a1_table, query):
     with pytest.raises(ValueError, match="lattice has rank 1"):
         query(a1, a1_table)
+
+
+@pytest.mark.parametrize("query, message", [
+    (lambda t: ch.simple_character(t, (6, 0), 7),
+     "singular non-Steinberg weights are not supported"),
+    (lambda t: ch.simple_character(t, (1, 1), 9), "p must be a prime, got 9"),
+    (lambda t: ch.simple_character(t, (1,), 7),
+     "weight (1,) has 1 coordinates; the lattice has rank 2"),
+    (lambda t: ch.block_multiplicity_table(t, [(0, 0), (6, 0)], 7),
+     "weight lies on a p-wall; its block is singular"),
+    (lambda t: ch.block_multiplicity_table(t, [(1, 1)], 9),
+     "p must be a prime, got 9"),
+    (lambda t: ch.block_multiplicity_table(t, [(0, 0), (1,)], 7),
+     "weight (1,) has 1 coordinates; the lattice has rank 2"),
+], ids=["simple-singular", "simple-non-prime", "simple-wrong-rank",
+        "table-singular", "table-non-prime", "table-wrong-rank"])
+def test_character_refusals(c2_table, query, message):
+    with pytest.raises(ValueError) as err:
+        query(c2_table)
+    assert str(err.value) == message
 
 
 # -- reciprocity ----------------------------------------------------------------

@@ -229,6 +229,16 @@ def test_non_prime_p_exits_2(capsys, kind, p):
     assert "prime" in err
 
 
+@pytest.mark.parametrize("weight, p, message", [
+    ("6,0", "7", "singular non-Steinberg weights are not supported"),
+    ("1", "7", "weight needs 2 coordinates, got '1'"),
+])
+def test_simplechar_refusal_exits_2(capsys, weight, p, message):
+    code, out, err = _run(capsys, "compute", "simplechar", "--type", "C2",
+                          "--weight", weight, "--p", p)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
 def _raise_internal(*args):
     raise RuntimeError("injected failure")
 

@@ -1,12 +1,14 @@
 """Periodic module: wall-crossing action, canonical elements, positivity."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affkl import alcoves, hecke, periodic, rootdata, weyl
 from affkl.hecke import LaurentPoly, one, v
-from oracles import canonical_P_by_division
+from oracles import canonical_P_by_division, twisted_finite_by_tau
 
 
 def _alcove_strategy(datum, max_word=4):
@@ -186,6 +188,24 @@ def test_coset_tops_match_act_then_divide(label, bound):
         outside += not d.in_root_lattice(alcoves.box_rep_above(a))
     if label != "G2":  # G2's root lattice is its whole weight lattice
         assert outside
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3",
+                                   "G2"])
+def test_twisted_finite_matches_tau(label):
+    """The per-omega memo of tau_mu on W_f equals tau_mu taken element by
+    element, for box weights of every Omega class, and holds one list per
+    omega.  A fresh datum, so that the memo starts empty."""
+    d = rootdata.build_root_datum(label)
+    rng = random.Random(label)
+    for rep in d.quotient_representatives() * 3:
+        mu = rep
+        for root in d.simple_roots:  # another weight of the same class
+            mu = tuple(m + rng.randint(-3, 3) * r for m, r in zip(mu, root))
+        assert periodic._twisted_finite(d, mu) \
+            == twisted_finite_by_tau(d, mu), mu
+    omegas = weyl.omega_elements(d)
+    assert set(d.memo.entry("periodic_twisted_finite")) == set(omegas)
 
 
 def test_coset_tops_match_act_then_divide_on_tampered_columns(a1, a1_table):

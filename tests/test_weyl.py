@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from affkl import rootdata, weyl
 from affkl.rootdata import pair
-from oracles import (bfs_lengths, finite_word_by_inversions,
-                     longest_element_by_bfs, walk_to_fundamental_by_fractions)
+from oracles import (bfs_lengths, bruhat_leq_by_stripping,
+                     finite_word_by_inversions, longest_element_by_bfs,
+                     walk_to_fundamental_by_fractions)
+
+LABELS = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"]
 
 
 def _elem_strategy(datum, max_word=6):
@@ -153,6 +156,33 @@ def test_bruhat_respects_length(a2, data):
         assert x.length() < y.length()
 
 
+@pytest.mark.parametrize("label", LABELS)
+def test_bruhat_leq_matches_stripping(label):
+    """Elements of W are compared without stripping omega, others with: both
+    agree with stripping omega from every pair, Omega-twisted pairs and
+    pairs across Omega-cosets included."""
+    d = rootdata.build_root_datum(label)
+    rng = random.Random(label)
+    ws = weyl.enumerate_W(d, 3)
+    gens = weyl.all_generators(d)
+    omegas = weyl.omega_elements(d)
+    verdicts = set()
+    for _ in range(400):
+        ox = rng.choice(omegas)
+        x = weyl.multiply(ox, rng.choice(ws))
+        if rng.random() < 0.5:  # a wall neighbour: always comparable
+            y = weyl.multiply(x, rng.choice(gens))
+        else:
+            y = weyl.multiply(rng.choice(omegas), rng.choice(ws))
+        got = weyl.bruhat_leq(x, y)
+        assert got == bruhat_leq_by_stripping(x, y), (x, y)
+        verdicts.add((got, ox.is_identity()))
+    assert (True, True) in verdicts and (False, True) in verdicts
+    if len(weyl.omega_elements(d)) > 1:
+        assert None in {v for v, _ in verdicts}
+        assert (True, False) in verdicts and (False, False) in verdicts
+
+
 # -- coset minimality, dot action, restriction --------------------------------
 
 
@@ -183,8 +213,7 @@ def test_restricted_box_membership_is_p_independent(a1):
         assert weyl.is_restricted(w) == in_box
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3",
-                                   "G2"])
+@pytest.mark.parametrize("label", LABELS)
 def test_walk_to_fundamental_matches_fraction_walk(label):
     """The integer alcove walk takes the rational walk's path: same y on
     seeded random rational points, and y(point) in the closed alcove."""
@@ -201,8 +230,7 @@ def test_walk_to_fundamental_matches_fraction_walk(label):
         assert all(pair(image, c) <= 1 for _, c in walls)
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3",
-                                   "G2"])
+@pytest.mark.parametrize("label", LABELS)
 def test_finite_group_words_and_longest_element_match_oracles(label):
     d = rootdata.build_root_datum(label)
     finite = weyl.finite_elements(d)
