@@ -2,9 +2,11 @@
 
 Alcoves are the connected components of the complement of the affine
 reflection hyperplanes; ``x -> x(A_fund)`` is a bijection from W to alcoves.
-An :class:`Alcove` stores the W-element and derives an exact rational
-barycenter (the image of b0 = rho / h, an interior point of A_fund that has
-pairing 1/h with every wall).
+An :class:`Alcove` stores the W-element and caches the integer point
+h x(b0) inside it (b0 = rho / h, an interior point of A_fund that has
+pairing 1/h with every wall; see ``weyl._alcove_point``).  Dominance, the
+box representatives and the generic order are sign and rounding tests on
+that point; the exact rational barycenter x(b0) is a view of it.
 
 Left multiplication by any extended element y acts on alcoves via the
 decomposition y*x = omega*w: the image alcove is (y x omega^{-1})(A_fund),
@@ -14,10 +16,10 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 
 from . import weyl
-from .rootdata import pair, scale_weight, sub_weights
+from .rootdata import add_weights, pair, scale_weight, sub_weights
 
 __all__ = [
     "Alcove",
@@ -39,11 +41,11 @@ __all__ = [
 class Alcove:
     """An alcove x(A_fund), keyed by its W-element x."""
 
-    __slots__ = ("elem", "_bary")
+    __slots__ = ("elem", "_point")
 
     def __init__(self, elem):
         self.elem = elem
-        self._bary = None
+        self._point = None
 
     @property
     def datum(self):
@@ -51,9 +53,9 @@ class Alcove:
 
     @property
     def barycenter(self):
-        if self._bary is None:
-            self._bary = self.elem.apply(weyl._b0(self.elem.datum))
-        return self._bary
+        """The exact point x(b0)."""
+        h = self.datum.coxeter_number
+        return tuple(Fraction(c, h) for c in _point(self))
 
     def __eq__(self, other):
         return isinstance(other, Alcove) and self.elem == other.elem
@@ -104,32 +106,35 @@ def translate(a, mu):
     return act_left(weyl.translation(a.datum, mu), a)
 
 
+def _point(a):
+    """h x(b0) for a = x(A_fund), computed once per alcove."""
+    if a._point is None:
+        a._point = weyl._alcove_point(a.elem)
+    return a._point
+
+
 def is_dominant(a):
-    b = a.barycenter
-    d = a.datum
-    return all(pair(b, c) > 0 for c in d.simple_coroots)
+    q = _point(a)
+    return all(pair(q, c) > 0 for c in a.datum.simple_coroots)
 
 
 def _box_rep(a, rounder):
+    """The weight pairing to rounder(<q, c>, h) with each simple coroot c,
+    for q = h x(b0); q lies on no wall, so <q, c> / h is never an integer."""
     d = a.datum
-    b = a.barycenter
-    targets = []
-    for c in d.simple_coroots:
-        val = pair(b, c)
-        if val.denominator == 1:
-            raise RuntimeError("barycenter lies on a wall")  # pragma: no cover
-        targets.append(rounder(val))
-    return d.weight_with_pairings(targets)
+    q = _point(a)
+    return d.weight_with_pairings([rounder(pair(q, c), d.coxeter_number)
+                                   for c in d.simple_coroots])
 
 
 def box_rep_below(a):
     """mu with <mu, a_i> - 1 < <b, a_i> <= <mu, a_i> on all simple coroots."""
-    return _box_rep(a, lambda v: math.ceil(v))
+    return _box_rep(a, lambda n, h: -(-n // h))
 
 
 def box_rep_above(a):
     """mu with <mu, a_i> <= <b, a_i> < <mu, a_i> + 1 on all simple coroots."""
-    return _box_rep(a, lambda v: math.floor(v))
+    return _box_rep(a, lambda n, h: n // h)
 
 
 def _conjugated_longest(datum, mu):
@@ -151,16 +156,12 @@ def check(a):
                                 a.elem))
 
 
-def _dominant_shift(a):
-    """The smallest m >= 0 with a + m varsigma dominant.
-
-    varsigma pairs to 1 with every simple coroot, and the barycenter pairs
-    to a non-integer with every wall, so <b + m varsigma, c> > 0 exactly
-    when m > -<b, c>.
-    """
-    b = a.barycenter
-    return max(0, max(math.floor(-pair(b, c)) + 1
-                      for c in a.datum.simple_coroots))
+def _dominant_shift(datum, q):
+    """The smallest m >= 0 with q + h m varsigma dominant: varsigma pairs
+    to 1 with every simple coroot, and the scaled point q to a non-multiple
+    of h, so <q + h m varsigma, c> > 0 exactly when m > -<q, c> / h."""
+    h = datum.coxeter_number
+    return max(0, max(-pair(q, c) // h + 1 for c in datum.simple_coroots))
 
 
 def generic_leq(a, b):
@@ -168,24 +169,22 @@ def generic_leq(a, b):
 
     Returns one of "less-equal", "greater-equal", "equal", "incomparable".
     Both alcoves are translated by m * varsigma for the smallest m >= 0 that
-    makes both dominant (read off their barycenters), and the verdict is
-    the Bruhat order of the translates.  On dominant alcoves the verdict no
-    longer depends on m; the test suite re-checks that against a stepping
-    oracle.
+    makes both dominant, and the verdict is the Bruhat order of the
+    translates.  The translate by mu holds the point q + h mu, so both steps
+    run on the points alone (weyl._bruhat_points).  On dominant alcoves the
+    verdict no longer depends on m; the test suite re-checks that against
+    a stepping oracle.
     """
     if a == b:
         return "equal"
-    mu = scale_weight(max(_dominant_shift(a), _dominant_shift(b)),
-                      a.datum.varsigma)
-    ta, tb = translate(a, mu), translate(b, mu)
-    if not (is_dominant(ta) and is_dominant(tb)):
-        raise RuntimeError(
-            "translates are not dominant; internal consistency failure at "
-            "%r, %r" % (a, b)
-        )
-    if weyl.bruhat_leq(ta.elem, tb.elem):
+    d = a.datum
+    m = max(_dominant_shift(d, _point(a)), _dominant_shift(d, _point(b)))
+    shift = scale_weight(d.coxeter_number * m, d.varsigma)
+    qa, qb = add_weights(_point(a), shift), add_weights(_point(b), shift)
+    walls = weyl._walls(d)
+    if weyl._bruhat_points(walls, qa, qb):
         return "less-equal"
-    if weyl.bruhat_leq(tb.elem, ta.elem):
+    if weyl._bruhat_points(walls, qb, qa):
         return "greater-equal"
     return "incomparable"
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from . import alcoves, hecke, weyl
 from .hecke import Combination, HeckeElem, LaurentPoly, one
-from .rootdata import pair
+from .rootdata import pair, sub_weights
 
 __all__ = [
     "PeriodicElem",
@@ -97,16 +97,10 @@ def _wall_shifts(datum):
     """Per generator s, the integer vector h (s(b0) - b0) (a root multiple,
     h the Coxeter number), and the sum of the positive coroots."""
     def build():
-        b0 = weyl._b0(datum)
-        h = datum.coxeter_number
-        shifts = {}
-        for s in weyl.all_generators(datum):
-            diff = tuple(h * (x - y) for x, y in zip(s.apply(b0), b0))
-            if any(x.denominator != 1 for x in diff):  # pragma: no cover
-                raise RuntimeError("h (s(b0) - b0) is not integral")
-            shifts[s] = tuple(int(x) for x in diff)
-        rho2 = tuple(map(sum, zip(*datum.positive_coroots)))
-        return shifts, rho2
+        # h b0 = rho = varsigma, the alcove point of the identity
+        return ({s: sub_weights(weyl._alcove_point(s), datum.varsigma)
+                 for s in weyl.all_generators(datum)},
+                tuple(map(sum, zip(*datum.positive_coroots))))
     return datum.memo.entry("periodic_wall_shifts", build)
 
 
@@ -194,32 +188,40 @@ def canonical_P_fund(datum, mu):
 
 
 def _twisted_finite(datum, mu):
-    """[(tau_mu(x), l(x)) for x in W_f], in finite_elements order, so
-    tau_mu(w_f) comes last.  tau_mu is conjugation by omega_mu, so the list
-    is memoized per omega_mu: at most |Omega| lists per datum."""
+    """(twisted, walls): [(tau_mu(x), l(x)) for x in W_f] in finite_elements
+    order, so tau_mu(w_f) comes last, and the weyl._walls entries of the
+    twisted simple reflections tau_mu(s_i), which lie in S as Omega permutes
+    S.  tau_mu is conjugation by omega_mu, so the pair is memoized per
+    omega_mu: at most |Omega| pairs per datum."""
     omega, _ = weyl.omega_of_weight(datum, mu)
     cache = datum.memo.entry("periodic_twisted_finite")
     if omega not in cache:
-        cache[omega] = [(weyl.tau(datum, mu, x), x.length())
-                        for x in weyl.finite_elements(datum)]
+        twisted = [(weyl.tau(datum, mu, x), x.length())
+                   for x in weyl.finite_elements(datum)]
+        gens = weyl.all_generators(datum)
+        cache[omega] = twisted, [weyl._walls(datum)[gens.index(s)]
+                                 for s, ls in twisted if ls == 1]
     return cache[omega]
+
+
+def _twisted_descents(walls, x):
+    """Per twisted wall, True iff its reflection is a left descent of x."""
+    q = weyl._alcove_point(x)
+    return [pair(q, c) < level for c, level, _ in walls]
 
 
 def _coset_tops(datum, mu, column):
     """{w_mu k: col[k]} over the keys k that top their coset W_f' k, where
     W_f' = tau_mu(W_f), w_mu = tau_mu(w_f), and k is a top exactly when
-    l(w_mu k) = l(k) - l(w_f); W_f' and w_mu come from _twisted_finite.
-    RuntimeError names the first key (in sort order) that breaks
-    col[z w_mu k] = v^{l(w_f) - l(z)} col[k] for z in W_f' or lies in no
-    such coset."""
-    twisted = _twisted_finite(datum, mu)
+    every twisted simple reflection is a left descent of it; W_f', w_mu and
+    their walls come from _twisted_finite.  RuntimeError names the first
+    key (in sort order) that breaks col[z w_mu k] = v^{l(w_f) - l(z)} col[k]
+    for z in W_f' or lies in no such coset."""
+    twisted, walls = _twisted_finite(datum, mu)
     w_mu, lf = twisted[-1]
     column = {k: p for k, p in column.items() if not p.is_zero()}
-    tops = {}
-    for k, p in column.items():
-        y = weyl.multiply(w_mu, k)
-        if y.length() == k.length() - lf:
-            tops[y] = p
+    tops = {weyl.multiply(w_mu, k): p for k, p in column.items()
+            if all(_twisted_descents(walls, k))}
     expected = {weyl.multiply(z, y): p * LaurentPoly.term(1, lf - lz)
                 for y, p in tops.items() for z, lz in twisted}
     if expected != column:
@@ -253,10 +255,10 @@ def _column_index(alcove):
     mu = alcoves.box_rep_above(alcove)
     _, x_mu = weyl.omega_of_weight(datum, mu)
     w = weyl.multiply(weyl.invert(x_mu), alcove.elem)
-    # w must be minimal in its coset under the twisted finite parabolic,
-    # generated by the twisted simple reflections (the length-one entries)
-    twisted = _twisted_finite(datum, mu)
-    if not weyl.is_min_in_coset(w, [s for s, ls in twisted if ls == 1]):
+    # w must be minimal in its coset under the twisted finite parabolic:
+    # no twisted simple reflection is a left descent of it
+    twisted, walls = _twisted_finite(datum, mu)
+    if any(_twisted_descents(walls, w)):
         raise RuntimeError(
             "alcove label is not coset-minimal; internal consistency failure"
         )

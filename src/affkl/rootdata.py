@@ -319,7 +319,7 @@ def build_root_datum(spec):
         if key not in _NAMED_CARTAN:
             raise ValueError("unknown type %r" % type_name)
         named = _NAMED_CARTAN[key]
-        if cartan is not None and [list(r) for r in cartan] != named:
+        if cartan is not None and cartan != named:
             raise ValueError("explicit Cartan matrix contradicts the named type")
         cartan = named
         label = name[0].upper() + name[1:]
@@ -334,10 +334,9 @@ def build_root_datum(spec):
         return _simply_connected(cartan, label)
     if isinstance(lattice, dict):
         body = lattice.get("embedding", lattice)
-        roots = body["roots"]
-        coroots = body["coroots"]
-        if not roots:
+        if not isinstance(body, dict) or not body.get("roots"):
             raise ValueError("the lattice lists no simple roots")
+        roots, coroots = body["roots"], body.get("coroots")
         m = len(_int_matrix("roots", roots)[0])
         _int_matrix("coroots", coroots, m)
         return RootDatum(cartan, roots, coroots, m, label=label)

@@ -12,8 +12,11 @@ Lengths come from the closed formula
                   + sum_{a > 0, w(a) < 0} |1 + <lambda, a^vee>|
 
 and reduced words (lexicographically minimal, with the affine generator
-named s0 sorting first) are derived views used by the Bruhat order and the
+named s0 sorting first) are derived views used by the text form and the
 Hecke-algebra recursions.
+
+The Bruhat order needs neither: it reads the left descents of x off the
+integer point h x(b0) inside x(A_fund), b0 = rho / h, one sign per wall.
 """
 
 from __future__ import annotations
@@ -308,7 +311,8 @@ def walk_to_fundamental(datum, point):
     while True:
         guard += 1
         if guard > 100000:
-            raise RuntimeError("alcove walk does not terminate")
+            raise ValueError("the alcove walk passed its 100000-step guard: "
+                             "the point is too far from the fundamental alcove")
         g = next((g for c, g in simple if pair(q, c) < 0), None)
         if g is None:
             g = next((g for c, g in affine if pair(q, c) > scale), None)
@@ -425,43 +429,59 @@ def finite_word(datum, mat):
     return cache[mat]
 
 
+def _alcove_point(x):
+    """h x(b0) = x.fin(rho + h x.trans), an integer point inside x(A_fund);
+    rho is varsigma on simply-connected data."""
+    h = x.datum.coxeter_number
+    return _mat_apply(x.fin, tuple(r + h * t for r, t
+                                   in zip(x.datum.varsigma, x.trans)))
+
+
+def _walls(datum):
+    """Per generator of S, in all_generators order, (c, level, r): on points
+    q scaled by h, the generator's wall is <q, c> = level, A_fund lies on
+    the side <q, c> > level, and the generator sends q to
+    q - (<q, c> - level) r.  A simple wall is (alpha_i^vee, 0, alpha_i); the
+    affine wall <., theta^vee> = 1 is (-theta^vee, -h, -theta)."""
+    h = datum.coxeter_number
+    return datum.memo.entry("alcove_walls", lambda: tuple(
+        [(neg_weight(c), -h, neg_weight(r)) for r, c in _affine_walls(datum)]
+        + [(c, 0, r) for r, c in zip(datum.simple_roots, datum.simple_coroots)]))
+
+
+def _bruhat_points(walls, u, w):
+    """u <= w for the W-elements whose alcoves hold the scaled points u, w.
+
+    Lifting property (Bjorner-Brenti, Prop. 2.2.7): for a left descent s of
+    w, u <= w iff su <= sw when s is a left descent of u, else iff u <= sw.
+    So cross the first wall separating w's point from A_fund, with u's
+    point too if it separates that one, until w's point is in A_fund; then
+    u <= w iff u's point is there as well."""
+    while True:
+        for c, level, r in walls:
+            k = pair(w, c) - level
+            if k < 0:
+                break
+        else:
+            return all(pair(u, c) > level for c, level, _ in walls)
+        w = tuple(a - k * b for a, b in zip(w, r))
+        k = pair(u, c) - level
+        if k < 0:
+            u = tuple(a - k * b for a, b in zip(u, r))
+
+
 def bruhat_leq(x, y):
     """Bruhat order on W_ext.
 
     Returns True/False for elements in the same Omega-coset and None
-    ("incomparable") otherwise.  Elements of W are compared as they are;
-    others have their common omega stripped first.
+    ("incomparable") otherwise.  x = omega u and y = omega w compare as u
+    and w do, so as omega u omega^{-1} and omega w omega^{-1} (conjugation
+    by omega permutes S), whose alcoves hold the points of x and y.
     """
-    omega = _omega_part(x)
-    if omega != _omega_part(y):
+    d = x.datum
+    if d.root_lattice_class(x.trans) != d.root_lattice_class(y.trans):
         return None
-    if omega.is_identity():
-        return _bruhat_w(x, y)
-    inv = invert(omega)
-    return _bruhat_w(multiply(inv, x), multiply(inv, y))
-
-
-def _bruhat_w(u, w):
-    datum = u.datum
-    cache = datum.memo.entry("bruhat")
-    key = (u.key(), w.key())
-    if key in cache:
-        return cache[key]
-    if u.length() > w.length():
-        res = False
-    elif w.length() == 0:
-        res = u.length() == 0
-    else:
-        gens = all_generators(datum)
-        s = gens[reduced_word(w)[0]]  # a left descent of w
-        sw = multiply(s, w)
-        su = multiply(s, u)
-        if su.length() < u.length():
-            res = _bruhat_w(su, sw)
-        else:
-            res = _bruhat_w(u, sw)
-    cache[key] = res
-    return res
+    return _bruhat_points(_walls(d), _alcove_point(x), _alcove_point(y))
 
 
 def is_min_in_coset(w, parabolic):

@@ -10,6 +10,11 @@ production algorithm, so agreement is evidence rather than tautology:
   unitriangularity), using only standard-basis multiplication.
 * ``asph_bar_fixed_point`` does the same inside the antispherical module.
 * ``sl2_simple_character`` is the closed-form rank-1 simple character.
+* ``bruhat_leq_by_lifting`` is the Bruhat order on W by the lifting
+  recursion, with the left descent read off a reduced word and every step
+  a group product; ``bruhat_leq_by_stripping`` and
+  ``generic_leq_by_stepping`` compare through it, never through the
+  library's walk on alcove points.
 * ``generic_leq_by_stepping`` finds the dominant translate of two alcoves
   by stepping m = 0, 1, 2, ... and re-checks the verdict two steps further.
 * ``walk_to_fundamental_by_fractions`` walks a point into the fundamental
@@ -29,6 +34,10 @@ production algorithm, so agreement is evidence rather than tautology:
   products what the alcove, Weyl-group and periodic layers read off in
   closed form or from a memo: omega w omega^{-1}, t_mu w_f t_{-mu}, the
   Bruhat order after stripping omega, and tau_mu on W_f element by element.
+* ``coset_tops_by_lengths`` and ``column_index_by_lengths`` find the
+  twisted-coset tops of a column and check the coset-minimality of a
+  column index by products and lengths, where the periodic layer reads
+  signs off alcove points.
 * ``lower_block_candidates_by_walk`` scans the box below a weight and keeps
   the points whose alcove walk ends at the weight's own base weight.
 """
@@ -83,7 +92,7 @@ def kl_bar_fixed_point(datum, w, _memo=None):
     if key in memo:
         return memo[key]
     ys = [y for y in weyl.enumerate_W(datum, w.length())
-          if weyl.bruhat_leq(y, w)]
+          if bruhat_leq_by_lifting(y, w)]
     ys.sort(key=lambda y: -y.length())
     assert ys[0] == w
     bar_std = {y: hecke.bar(hecke.standard(y)) for y in ys}
@@ -110,7 +119,7 @@ def asph_bar_fixed_point(datum, w):
     in the module (bar of a standard vector = projection of the algebra bar
     of the standard basis element)."""
     ys = [y for y in weyl.enumerate_fWext(datum, w.length())
-          if weyl.bruhat_leq(y, w)]
+          if bruhat_leq_by_stripping(y, w)]
     ys.sort(key=lambda y: -y.length())
     assert ys[0] == w
     bar_std = {y: parabolic.xi(hecke.bar(hecke.standard(y))) for y in ys}
@@ -159,9 +168,9 @@ def generic_leq_by_stepping(a, b):
         ta, tb = alcoves.translate(a, mu), alcoves.translate(b, mu)
         if not (alcoves.is_dominant(ta) and alcoves.is_dominant(tb)):
             return None
-        if weyl.bruhat_leq(ta.elem, tb.elem):
+        if bruhat_leq_by_lifting(ta.elem, tb.elem):
             return "less-equal"
-        if weyl.bruhat_leq(tb.elem, ta.elem):
+        if bruhat_leq_by_lifting(tb.elem, ta.elem):
             return "greater-equal"
         return "incomparable"
 
@@ -295,6 +304,23 @@ def conjugated_longest_by_products(datum, mu):
                          weyl.invert(t))
 
 
+def bruhat_leq_by_lifting(u, w):
+    """u <= w for u, w in W by the lifting property: take the first letter
+    s of the reduced word of w (a left descent); then u <= w iff
+    su <= sw when l(su) < l(u), and iff u <= sw otherwise."""
+    gens = weyl.all_generators(u.datum)
+    while True:
+        if u.length() > w.length():
+            return False
+        if w.length() == 0:
+            return u.length() == 0
+        s = gens[weyl.reduced_word(w)[0]]
+        su = weyl.multiply(s, u)
+        if su.length() < u.length():
+            u = su
+        w = weyl.multiply(s, w)
+
+
 def bruhat_leq_by_stripping(x, y):
     """The Bruhat order on W_ext with omega stripped off both sides,
     whatever omega is: None across Omega-cosets."""
@@ -302,7 +328,43 @@ def bruhat_leq_by_stripping(x, y):
     oy, wy = weyl.omega_decompose(y)
     if ox != oy:
         return None
-    return weyl._bruhat_w(wx, wy)
+    return bruhat_leq_by_lifting(wx, wy)
+
+
+def coset_tops_by_lengths(datum, mu, column):
+    """The twisted-coset tops of a column as _coset_tops defines them, with
+    W_f' from ``twisted_finite_by_tau``: k is a top exactly when
+    l(w_mu k) = l(k) - l(w_f), and the column must equal the coset sums
+    of its tops (else RuntimeError naming the first bad key)."""
+    twisted = twisted_finite_by_tau(datum, mu)
+    w_mu, lf = twisted[-1]
+    column = {k: p for k, p in column.items() if not p.is_zero()}
+    tops = {}
+    for k, p in column.items():
+        y = weyl.multiply(w_mu, k)
+        if y.length() == k.length() - lf:
+            tops[y] = p
+    expected = {weyl.multiply(z, y): p * LaurentPoly.term(1, lf - lz)
+                for y, p in tops.items() for z, lz in twisted}
+    if expected != column:
+        bad = min((k for k in expected.keys() | column.keys()
+                   if expected.get(k) != column.get(k)), key=weyl.sort_key)
+        raise RuntimeError("no twisted finite coset structure at %s"
+                           % weyl.to_text(bad))
+    return tops
+
+
+def column_index_by_lengths(alcove):
+    """w_mu * w for A = (mu + A_fund) . w, mu above A, after checking by
+    products and lengths that w is minimal in W_f' w."""
+    datum = alcove.datum
+    mu = alcoves.box_rep_above(alcove)
+    _, x_mu = weyl.omega_of_weight(datum, mu)
+    w = weyl.multiply(weyl.invert(x_mu), alcove.elem)
+    twisted = twisted_finite_by_tau(datum, mu)
+    assert weyl.is_min_in_coset(w, [s for s, ls in twisted if ls == 1]), \
+        "alcove label is not coset-minimal"
+    return weyl.multiply(twisted[-1][0], w)
 
 
 def twisted_finite_by_tau(datum, mu):

@@ -87,6 +87,21 @@ def test_conjugated_longest_matches_products(label):
         assert d.in_root_lattice(x.trans)
 
 
+@pytest.mark.parametrize("label", LABELS)
+def test_translation_moves_the_point_by_h_mu(label):
+    """Omega fixes b0, so the translate by mu of an alcove has the point
+    h (x(b0) + mu), for mu in every Omega class."""
+    d = rootdata.build_root_datum(label)
+    h = d.coxeter_number
+    rng = random.Random(label)
+    for a in alcoves.enumerate_alcoves(d, 2):
+        for rep in d.quotient_representatives():
+            mu = tuple(m + rng.randint(-2, 2) * h for m in rep)
+            assert weyl._alcove_point(alcoves.translate(a, mu).elem) \
+                == tuple(q + h * m for q, m in
+                         zip(weyl._alcove_point(a.elem), mu)), (a, mu)
+
+
 def test_box_representatives(a1, c2):
     # below: A - mu lies in the unit box below zero; above: in the box above
     fund = alcoves.fundamental_alcove(a1)
@@ -162,11 +177,11 @@ def test_wall_neighbors_always_comparable(c2):
 
 
 @pytest.mark.parametrize("label, bound, sample", [
-    ("A1", 8, None), ("A2", 4, None), ("C2", 4, None),
-    ("G2", 3, 150), ("B3", 2, 150)])
+    ("A1", 8, None), ("A2", 4, None), ("C2", 4, None), ("B2", 3, None),
+    ("G2", 3, 150), ("A3", 2, 150), ("B3", 2, 150), ("C3", 2, 150)])
 def test_generic_leq_matches_stepping_oracle(label, bound, sample):
     """The closed-form dominant shift gives the stepping verdict on every
-    ordered pair of the window (a seeded sample of pairs on G2 and B3).
+    ordered pair of the window (a seeded sample of pairs on G2 and rank 3).
     The oracle runs on a second datum, so no memo is shared."""
     d = rootdata.build_root_datum(label)
     d_oracle = rootdata.build_root_datum(label)

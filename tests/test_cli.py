@@ -1,6 +1,10 @@
 """Command-line surface: exit codes, report shape, drawing, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -288,3 +292,36 @@ def test_timings_are_measured_per_check(capsys):
     seconds = [c["seconds"] for c in json.loads(out)["checks"]]
     assert len(set(seconds)) > 1
     assert sum(seconds) <= wall
+
+
+_WALK_GUARD = ("error: the alcove walk passed its 100000-step guard: the "
+               "point is too far from the fundamental alcove\n")
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "kl", "--type", "A1", "--elem", "t: (99999999999)"],
+    ["compute", "qa", "--type", "A1", "--alcove", "t: (400000)"],
+    ["compute", "projmult", "--type", "A1", "--weight", "1000001", "--p", "5"],
+], ids=["kl", "qa", "projmult"])
+def test_far_away_input_exits_2_at_the_walk_guard(argv):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env.pop("AFFKL_CACHE_DIR", None)
+    proc = subprocess.run([sys.executable, "-m", "affkl.cli"] + argv,
+                          env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", _WALK_GUARD)
+
+
+def test_walk_guard_inside_verify_periodic_exits_2(capsys, monkeypatch):
+    def guard(datum, point):
+        raise ValueError(_WALK_GUARD[len("error: "):-1])
+
+    monkeypatch.setattr(weyl, "walk_to_fundamental", guard)
+    code, out, err = _run(capsys, "verify", "periodic", "--type", "A1",
+                          "--max-len", "2")
+    assert (code, out, err) == (2, "", _WALK_GUARD)

@@ -85,6 +85,19 @@ def test_warm_datum_answers_equal_fresh_datum_answers(a1_table, a2_table,
             assert ch.projective_multiplicities_weight(c2_table, lam, 7) == want
 
 
+def test_generic_order_leaves_no_memo_keyed_by_pairs():
+    """generic_leq on every ordered pair of a window memoizes nothing per
+    pair: no memo entry outgrows the window times the generating set."""
+    d = rootdata.build_root_datum("A2")
+    window = alcoves.enumerate_alcoves(d, 4)
+    for a in window:
+        for b in window:
+            alcoves.generic_leq(a, b)
+    bound = len(window) * len(weyl.all_generators(d))
+    sizes = {name: len(entry) for name, entry in d.memo._entries.items()}
+    assert max(sizes.values()) <= bound, sizes
+
+
 @pytest.mark.parametrize("module", [alcoves, periodic, ch],
                          ids=lambda m: m.__name__)
 def test_public_functions_are_plain_functions(module):

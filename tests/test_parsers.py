@@ -1,11 +1,12 @@
-"""Fuzzing the text parsers: every input either parses or is refused with
-ValueError (the CLI's ConfigError is one), never another exception.  Only
-the parsers run; no command computes on what they return."""
+"""Fuzzing the parsers and document loaders: every input either parses or
+is refused with ValueError (the CLI's ConfigError and the loader's
+TableValidationError are ones; all exit 2), never another exception.  Only
+the parsers and loaders run; no command computes on what they return."""
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from affkl import rootdata, weyl
+from affkl import hecke, rootdata, weyl
 from affkl.cli import _parse_elem, _parse_weight
 
 DATA = {label: rootdata.build_root_datum(label)
@@ -55,3 +56,70 @@ def test_parse_weight_parses_or_refuses(label, text):
         return
     assert len(lam) == d.lattice_rank
     assert all(isinstance(c, int) for c in lam)
+
+
+# -- JSON documents ------------------------------------------------------------
+
+SMALL = st.integers(-3, 3)
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), SMALL, st.text(max_size=4)),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=6), kids,
+                                           max_size=3)),
+    max_leaves=8)
+MATRIX = st.one_of(st.lists(st.lists(SMALL, max_size=3), max_size=3), JSON)
+TYPE = st.one_of(st.sampled_from(["A1", "A2", "B3", "G2", "a2", "C2~", "Q9",
+                                  "A", ""]), JSON)
+DATUM_DOC = st.one_of(TYPE, JSON, st.fixed_dictionaries({}, optional={
+    "schema": st.one_of(st.just(1), JSON),
+    "type": TYPE,
+    "cartan": MATRIX,
+    "lattice": st.one_of(st.just("simply_connected"), JSON,
+                         st.fixed_dictionaries({}, optional={
+                             "roots": MATRIX, "coroots": MATRIX,
+                             "embedding": JSON})),
+}))
+# Short element texts only: a far-away translation would run the alcove
+# walk to its step guard on every example.
+ELEM = st.one_of(st.sampled_from([
+    "e", "s0", "s1", "s2", "s1 s0", "w: s1", "w: s0 s1", "t: (1)",
+    "t: (2,-1)", "omega: 1", "w: s1 | t: (0,2)", "s9", "t: (1,2,3)", "x"]),
+    st.text(max_size=5))
+PAIRS = st.one_of(st.lists(st.lists(st.integers(-4, 4), min_size=2,
+                                    max_size=2), max_size=3), JSON)
+TABLE_DATA = {label: DATA[label] for label in ("A1", "B2")}
+TABLE_DOC = st.one_of(JSON, st.fixed_dictionaries({}, optional={
+    "schema": st.one_of(st.just(1), JSON),
+    "datum": st.one_of(st.sampled_from(
+        ["", "A1:" + DATA["A1"].datum_hash, "B2:" + DATA["B2"].datum_hash]),
+        JSON),
+    "p": st.one_of(st.just("infinity"), st.integers(-1, 7), JSON),
+    "basis": st.one_of(st.sampled_from(["H", "N", "M"]), JSON),
+    "entries": st.one_of(st.dictionaries(
+        ELEM, st.one_of(st.dictionaries(ELEM, PAIRS, max_size=3), JSON),
+        max_size=3), JSON),
+    "label": JSON,
+}))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(DATUM_DOC)
+def test_build_root_datum_builds_or_refuses(spec):
+    try:
+        d = rootdata.build_root_datum(spec)
+    except ValueError:
+        return
+    assert d.rank == d.lattice_rank == len(d.simple_roots)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(TABLE_DATA)), TABLE_DOC)
+def test_table_from_json_loads_or_refuses(label, doc):
+    d = TABLE_DATA[label]
+    try:
+        table = hecke.table_from_json(doc, d)
+    except ValueError:  # TableValidationError included
+        return
+    assert table.datum is d

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from affkl import alcoves, hecke, periodic, rootdata, weyl
 from affkl.hecke import LaurentPoly, one, v
-from oracles import canonical_P_by_division, twisted_finite_by_tau
+from oracles import (canonical_P_by_division, column_index_by_lengths,
+                     coset_tops_by_lengths, twisted_finite_by_tau)
 
 
 def _alcove_strategy(datum, max_word=4):
@@ -170,17 +171,31 @@ def _tampered_table(datum, table, target):
     return hecke.PCanonicalTable(datum, 2, "H", cols), partner
 
 
+def _assert_column_routes_agree(table, a):
+    """The sign tests on alcove points find the column index and coset
+    tops that products and lengths find."""
+    d = a.datum
+    idx = periodic._column_index(a)
+    assert idx == column_index_by_lengths(a), a
+    mu = alcoves.box_rep_above(a)
+    column = table.column(idx)
+    assert periodic._coset_tops(d, mu, column) \
+        == coset_tops_by_lengths(d, mu, column), a
+
+
 @pytest.mark.parametrize("label, bound", [("A1", 8), ("A2", 4), ("C2", 4),
                                           ("G2", 3)])
 def test_coset_tops_match_act_then_divide(label, bound):
     """Both production routes equal the act-then-divide oracle on every
-    alcove of the window, box weights outside the root lattice included.
+    alcove of the window, box weights outside the root lattice included,
+    and the column index and coset tops equal their length routes.
     Fresh data, so that no memo is shared with other tests."""
     d = rootdata.build_root_datum(label)
     table = hecke.builtin_kl_table(d)
     window = alcoves.enumerate_alcoves(d, bound)
     outside = 0
     for a in window:
+        _assert_column_routes_agree(table, a)
         expected = canonical_P_by_division(
             a, table.column(periodic._column_index(a)))
         assert periodic.p_canonical_P(table, a) == expected, a
@@ -194,16 +209,26 @@ def test_coset_tops_match_act_then_divide(label, bound):
                                    "G2"])
 def test_twisted_finite_matches_tau(label):
     """The per-omega memo of tau_mu on W_f equals tau_mu taken element by
-    element, for box weights of every Omega class, and holds one list per
-    omega.  A fresh datum, so that the memo starts empty."""
+    element, for box weights of every Omega class, and holds one entry per
+    omega.  The point test of each twisted simple reflection s' says
+    l(s' x) < l(x), on elements twisted by every omega.  A fresh datum, so
+    that the memo starts empty."""
     d = rootdata.build_root_datum(label)
     rng = random.Random(label)
+    xs = [weyl.multiply(w, om) for w in weyl.enumerate_W(d, 3 - d.rank // 2)
+          for om in weyl.omega_elements(d)]
     for rep in d.quotient_representatives() * 3:
         mu = rep
         for root in d.simple_roots:  # another weight of the same class
             mu = tuple(m + rng.randint(-3, 3) * r for m, r in zip(mu, root))
-        assert periodic._twisted_finite(d, mu) \
-            == twisted_finite_by_tau(d, mu), mu
+        twisted, walls = periodic._twisted_finite(d, mu)
+        assert twisted == twisted_finite_by_tau(d, mu), mu
+        simple = [s for s, ls in twisted if ls == 1]
+        assert len(walls) == len(simple) == d.rank
+        for x in xs:
+            assert periodic._twisted_descents(walls, x) \
+                == [weyl.multiply(s, x).length() < x.length()
+                    for s in simple], (mu, x)
     omegas = weyl.omega_elements(d)
     assert set(d.memo.entry("periodic_twisted_finite")) == set(omegas)
 
@@ -212,6 +237,7 @@ def test_coset_tops_match_act_then_divide_on_tampered_columns(a1, a1_table):
     target = alcoves.from_weyl(weyl.all_generators(a1)[0])
     bad, _ = _tampered_table(a1, a1_table, target)
     for a in alcoves.enumerate_alcoves(a1, 8):
+        _assert_column_routes_agree(bad, a)
         expected = canonical_P_by_division(
             a, bad.column(periodic._column_index(a)))
         assert periodic.p_canonical_P(bad, a) == expected, a

@@ -183,6 +183,26 @@ def test_bruhat_leq_matches_stripping(label):
         assert (True, False) in verdicts and (False, False) in verdicts
 
 
+@pytest.mark.parametrize("label", LABELS)
+def test_point_descents_match_lengths(label):
+    """The wall of a generator g separates the point of x from A_fund
+    exactly when l(g x) < l(x), and g moves the point as its wall entry
+    says, on elements twisted by every omega from either side."""
+    d = rootdata.build_root_datum(label)
+    walls = weyl._walls(d)
+    for w in weyl.enumerate_W(d, 3 if d.rank < 3 else 2):
+        for om in weyl.omega_elements(d):
+            for x in (weyl.multiply(w, om), weyl.multiply(om, w)):
+                q = weyl._alcove_point(x)
+                for g, (c, level, r) in zip(weyl.all_generators(d), walls):
+                    gx = weyl.multiply(g, x)
+                    assert (pair(q, c) < level) \
+                        == (gx.length() < x.length()), (x, g)
+                    k = pair(q, c) - level
+                    assert weyl._alcove_point(gx) \
+                        == tuple(a - k * b for a, b in zip(q, r)), (x, g)
+
+
 # -- coset minimality, dot action, restriction --------------------------------
 
 
