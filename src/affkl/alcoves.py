@@ -3,7 +3,7 @@
 Alcoves are the connected components of the complement of the affine
 reflection hyperplanes; ``x -> x(A_fund)`` is a bijection from W to alcoves.
 An :class:`Alcove` stores the W-element and caches the integer point
-h x(b0) inside it (b0 = rho / h, an interior point of A_fund that has
+h x(b0) inside it (b0 = varsigma / h, an interior point of A_fund that has
 pairing 1/h with every wall; see ``weyl._alcove_point``).  Dominance, the
 box representatives and the generic order are sign and rounding tests on
 that point; the exact rational barycenter x(b0) is a view of it.

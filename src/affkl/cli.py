@@ -393,10 +393,12 @@ def cmd_compute(args):
 
 
 def _fund_vertices(datum):
-    """Vertices of the closed fundamental alcove as exact Fractions."""
-    walls = [(c, Fraction(0)) for c in datum.simple_coroots]
-    for _, coroot in weyl._affine_walls(datum):
-        walls.append((coroot, Fraction(1)))
+    """Vertices of the closed fundamental alcove as exact Fractions, from
+    the wall table (simple walls first): <v, c> >= level / h on each."""
+    table = weyl._walls(datum)
+    n_aff = len(table) - datum.rank
+    walls = [(c, Fraction(level, datum.coxeter_number))
+             for c, level, _ in table[n_aff:] + table[:n_aff]]
     verts = []
     for i in range(len(walls)):
         for j in range(i + 1, len(walls)):
@@ -407,11 +409,8 @@ def _fund_vertices(datum):
             x = (r1 * c2[1] - r2 * c1[1]) / det
             y = (r2 * c1[0] - r1 * c2[0]) / det
             v = (x, y)
-            if all(pair(v, c) >= 0 for c in datum.simple_coroots) and all(
-                pair(v, coroot) <= 1 for _, coroot in weyl._affine_walls(datum)
-            ):
-                if v not in verts:
-                    verts.append(v)
+            if all(pair(v, c) >= r for c, r in walls) and v not in verts:
+                verts.append(v)
     return verts
 
 

@@ -7,10 +7,9 @@ generic order on alcoves: for a KL generator attached to s,
     A . (H_s + v) = As + v^{-1} A if As is generically below A.
 
 Wall neighbours need no general comparison: A lies generically below As
-exactly when As is on the positive side of their common wall.  For
-A = x(A_fund) with finite part w, the barycenters differ by
-w(s(b0) - b0), a multiple of the wall's root, so the side is the sign of
-its pairing with the sum of the positive coroots.
+exactly when As is on the positive side of their common wall.  The alcove
+points of A and As differ by a multiple of the wall's root, so the side is
+the sign of that difference paired with the sum of the positive coroots.
 
 Translation by a weight acts on alcoves directly; it is not linear over the
 algebra action but twists it by the conjugation automorphism of the
@@ -93,17 +92,6 @@ def periodic_standard(alcove):
     return PeriodicElem(alcove.datum, {alcove: one})
 
 
-def _wall_shifts(datum):
-    """Per generator s, the integer vector h (s(b0) - b0) (a root multiple,
-    h the Coxeter number), and the sum of the positive coroots."""
-    def build():
-        # h b0 = rho = varsigma, the alcove point of the identity
-        return ({s: sub_weights(weyl._alcove_point(s), datum.varsigma)
-                 for s in weyl.all_generators(datum)},
-                tuple(map(sum, zip(*datum.positive_coroots))))
-    return datum.memo.entry("periodic_wall_shifts", build)
-
-
 def _wall_step(datum, a, s):
     """(neighbor alcove As, True iff A is generically below it), memoized.
 
@@ -114,14 +102,15 @@ def _wall_step(datum, a, s):
     cache = datum.memo.entry("periodic_wall_step")
     key = (a.elem, s)
     if key not in cache:
-        shifts, rho2 = _wall_shifts(datum)
-        side = pair(weyl._mat_apply(a.elem.fin, shifts[s]), rho2)
+        b = alcoves.Alcove(weyl.multiply(a.elem, s))
+        shift = sub_weights(alcoves._point(b), alcoves._point(a))
+        side = sum(pair(shift, c) for c in datum.positive_coroots)
         if side == 0:
             raise RuntimeError(
                 "barycenter shift lies on a wall; internal consistency "
                 "failure at %r" % a
             )
-        cache[key] = (alcoves.Alcove(weyl.multiply(a.elem, s)), side > 0)
+        cache[key] = (b, side > 0)
     return cache[key]
 
 

@@ -1,4 +1,4 @@
-"""Root data: Cartan matrices, weights, pairings, rho and related constants.
+"""Root data: Cartan matrices, weights, pairings and related constants.
 
 A :class:`RootDatum` packages a finite crystallographic root system embedded
 in a character lattice X = Z^rank.  Only the setting of the character
@@ -10,9 +10,10 @@ coroots form a basis of the cocharacter lattice.
 * positive roots/coroots are enumerated by reflection closure, ordered by
   height then lexicographically (stable IDs for caches and output).
 
-Weights are plain integer tuples; rational weights (alcove barycenters and
-half-sums) are tuples of :class:`fractions.Fraction`.  All arithmetic is
-exact.
+Weights are plain integer tuples; rational points (alcove barycenters)
+are tuples of :class:`fractions.Fraction`.  All arithmetic is exact.  On
+simply-connected data the half-sum of the positive roots is the integer
+weight ``varsigma``, pairing to 1 with every simple coroot.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from fractions import Fraction
 from itertools import product
 
 from ._intlinalg import inverse, smith_normal_form
@@ -200,9 +200,6 @@ class RootDatum:
             raise ValueError("the lattice is not simply connected: the simple "
                              "coroots do not span the cocharacter lattice")
         self._coroot_inverse = tuple(tuple(int(x) for x in row) for row in inv)
-        self.rho = tuple(
-            sum(Fraction(r[k]) for r in self.positive_roots) / 2 for k in range(n)
-        )
         # Coxeter number: 1 + height of the highest root.
         self.coxeter_number = 1 + max(self.root_heights)
         # varsigma: the weight pairing to 1 with every simple coroot.

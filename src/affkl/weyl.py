@@ -11,12 +11,14 @@ Lengths come from the closed formula
     l(w t_lambda) = sum_{a > 0, w(a) > 0} |<lambda, a^vee>|
                   + sum_{a > 0, w(a) < 0} |1 + <lambda, a^vee>|
 
-and reduced words (lexicographically minimal, with the affine generator
-named s0 sorting first) are derived views used by the text form and the
-Hecke-algebra recursions.
-
-The Bruhat order needs neither: it reads the left descents of x off the
-integer point h x(b0) inside x(A_fund), b0 = rho / h, one sign per wall.
+Everything else is alcove geometry on the integer point h x(b0) inside
+x(A_fund) (b0 the interior point of A_fund pairing to 1/h with every
+wall, h the Coxeter number): a generator of S is a left descent of x
+exactly when its wall separates that point from A_fund.  One wall table
+and one walk that crosses separating walls serve the reduced words
+(lexicographically minimal, with the affine generator named s0 sorting
+first; used by the text form and the Hecke-algebra recursions), the walk
+of a point into the fundamental alcove, and the Bruhat order.
 """
 
 from __future__ import annotations
@@ -271,55 +273,26 @@ def generator_names(datum):
 # Omega and decompositions
 
 
-def _b0(datum):
-    """rho / h: the interior point of A_fund pairing to 1/h with every wall."""
-    return datum.memo.entry(
-        "b0", lambda: tuple(c / datum.coxeter_number for c in datum.rho))
-
-
-def _affine_walls(datum):
-    """(root, coroot) of the highest coroot per component (affine walls)."""
-    def build():
-        walls = []
-        for g in affine_generators(datum):
-            root = neg_weight(g.trans)
-            idx = datum.positive_roots.index(root)
-            walls.append((root, datum.positive_coroots[idx]))
-        return tuple(walls)
-    return datum.memo.entry("affine_walls", build)
-
-
 def walk_to_fundamental(datum, point):
     """Return y in W with y(point) inside the closed fundamental alcove.
 
     The walk runs on D * point, D the common denominator of the point's
-    coordinates, so every wall test is an integer comparison: the simple
-    wall of c is crossed when <q, c> < 0, the affine wall of c when
-    <q, c> > D, and a generator w t_l sends q to w(q + D l).
+    coordinates, with the wall levels scaled from h to D, so every wall
+    test is an integer comparison.  It crosses the simple walls before the
+    affine ones.
     """
-    gens = all_generators(datum)
-    n_aff = len(_components(datum))
     point = tuple(Fraction(c) for c in point)
     scale = math.lcm(*(c.denominator for c in point))
     q = tuple(c.numerator * (scale // c.denominator) for c in point)
-    simple = [(c, gens[n_aff + i])
-              for i, c in enumerate(datum.simple_coroots)]
-    affine = [(coroot, gens[j])
-              for j, (_, coroot) in enumerate(_affine_walls(datum))]
+    h = datum.coxeter_number
+    walls = [(c, level // h * scale, r) for c, level, r in _walls(datum)]
+    n_aff = len(walls) - datum.rank
+    order = list(range(n_aff, len(walls))) + list(range(n_aff))
+    gens = all_generators(datum)
     y = identity(datum)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100000:
-            raise ValueError("the alcove walk passed its 100000-step guard: "
-                             "the point is too far from the fundamental alcove")
-        g = next((g for c, g in simple if pair(q, c) < 0), None)
-        if g is None:
-            g = next((g for c, g in affine if pair(q, c) > scale), None)
-            if g is None:
-                return y
-        q = _mat_apply(g.fin, tuple(a + scale * t for a, t in zip(q, g.trans)))
-        y = multiply(g, y)
+    for i in _walk(walls, q, order):
+        y = multiply(gens[i], y)
+    return y
 
 
 def omega_of_weight(datum, weight):
@@ -328,7 +301,9 @@ def omega_of_weight(datum, weight):
     weight = tuple(weight)
     memo = datum.memo.entry("omega_of_weight")
     if weight not in memo:
-        y = walk_to_fundamental(datum, add_weights(weight, _b0(datum)))
+        h = datum.coxeter_number
+        y = walk_to_fundamental(datum, tuple(
+            Fraction(h * c + r, h) for c, r in zip(weight, datum.varsigma)))
         x_lambda = invert(y)
         omega = multiply(invert(x_lambda), translation(datum, weight))
         memo[weight] = (omega, x_lambda)
@@ -375,43 +350,23 @@ def tau(datum, lam, w):
 
 
 def reduced_word(x):
-    """Lexicographically minimal reduced word of x in W over the names of S.
+    """Lexicographically minimal reduced word of x in W over the names of S:
+    the walls the walk of x's alcove point crosses, taking each time the
+    first separating wall in all_generators order (a left descent).
 
     Returns a tuple of generator indices into all_generators(x.datum).
     """
     datum = x.datum
     cache = datum.memo.entry("reduced_word")
     key = x.key()
-    if key in cache:
-        return cache[key]
-    gens = all_generators(datum)
-    chain = []
-    cur = x
-    path = []
-    while True:
-        ck = cur.key()
-        if ck in cache:
-            base = cache[ck]
-            break
-        lc = cur.length()
-        if lc == 0:
-            if not cur.is_identity():
-                raise ValueError("element is not in the affine Weyl group")
-            base = ()
-            break
-        for i, g in enumerate(gens):
-            nxt = multiply(g, cur)
-            if nxt.length() < lc:
-                path.append((ck, i))
-                cur = nxt
-                break
-        else:  # pragma: no cover - cannot happen for W elements
-            raise RuntimeError("no descent found")
-    cache[cur.key()] = base
-    for ck, i in reversed(path):
-        base = (i,) + base
-        cache[ck] = base
-    return cache[key]
+    word = cache.get(key)
+    if word is None:
+        if not datum.in_root_lattice(x.trans):
+            raise ValueError("element is not in the affine Weyl group")
+        walls = _walls(datum)
+        word = cache[key] = tuple(
+            _walk(walls, _alcove_point(x), range(len(walls))))
+    return word
 
 
 def finite_word(datum, mat):
@@ -430,8 +385,8 @@ def finite_word(datum, mat):
 
 
 def _alcove_point(x):
-    """h x(b0) = x.fin(rho + h x.trans), an integer point inside x(A_fund);
-    rho is varsigma on simply-connected data."""
+    """h x(b0) = x.fin(varsigma + h x.trans), an integer point inside
+    x(A_fund): h b0 = varsigma on simply-connected data."""
     h = x.datum.coxeter_number
     return _mat_apply(x.fin, tuple(r + h * t for r, t
                                    in zip(x.datum.varsigma, x.trans)))
@@ -442,11 +397,36 @@ def _walls(datum):
     q scaled by h, the generator's wall is <q, c> = level, A_fund lies on
     the side <q, c> > level, and the generator sends q to
     q - (<q, c> - level) r.  A simple wall is (alpha_i^vee, 0, alpha_i); the
-    affine wall <., theta^vee> = 1 is (-theta^vee, -h, -theta)."""
-    h = datum.coxeter_number
-    return datum.memo.entry("alcove_walls", lambda: tuple(
-        [(neg_weight(c), -h, neg_weight(r)) for r, c in _affine_walls(datum)]
-        + [(c, 0, r) for r, c in zip(datum.simple_roots, datum.simple_coroots)]))
+    affine wall <., theta^vee> = 1 of the generator t_{-theta} s_theta is
+    (-theta^vee, -h, -theta)."""
+    def build():
+        h = datum.coxeter_number
+        affine = []
+        for g in affine_generators(datum):
+            idx = datum.positive_roots.index(neg_weight(g.trans))
+            affine.append((neg_weight(datum.positive_coroots[idx]), -h, g.trans))
+        return tuple(affine) + tuple(
+            (c, 0, r) for r, c in zip(datum.simple_roots, datum.simple_coroots))
+    return datum.memo.entry("alcove_walls", build)
+
+
+def _walk(walls, q, order):
+    """Cross, from the integer point q, the first wall in order (indices
+    into walls) with <q, c> < level until none is left; return the crossed
+    indices.  ValueError after 100000 crossings."""
+    crossed = []
+    for _ in range(100000):
+        for i in order:
+            c, level, r = walls[i]
+            k = pair(q, c) - level
+            if k < 0:
+                break
+        else:
+            return crossed
+        crossed.append(i)
+        q = tuple(a - k * b for a, b in zip(q, r))
+    raise ValueError("the alcove walk passed its 100000-step guard: "
+                     "the point is too far from the fundamental alcove")
 
 
 def _bruhat_points(walls, u, w):
@@ -454,20 +434,14 @@ def _bruhat_points(walls, u, w):
 
     Lifting property (Bjorner-Brenti, Prop. 2.2.7): for a left descent s of
     w, u <= w iff su <= sw when s is a left descent of u, else iff u <= sw.
-    So cross the first wall separating w's point from A_fund, with u's
-    point too if it separates that one, until w's point is in A_fund; then
-    u <= w iff u's point is there as well."""
-    while True:
-        for c, level, r in walls:
-            k = pair(w, c) - level
-            if k < 0:
-                break
-        else:
-            return all(pair(u, c) > level for c, level, _ in walls)
-        w = tuple(a - k * b for a, b in zip(w, r))
+    So walk w's point to A_fund, crossing each wall with u's point too if
+    it separates that one; then u <= w iff u's point is in A_fund as well."""
+    for i in _walk(walls, w, range(len(walls))):
+        c, level, r = walls[i]
         k = pair(u, c) - level
         if k < 0:
             u = tuple(a - k * b for a, b in zip(u, r))
+    return all(pair(u, c) > level for c, level, _ in walls)
 
 
 def bruhat_leq(x, y):

@@ -18,7 +18,10 @@ production algorithm, so agreement is evidence rather than tautology:
 * ``generic_leq_by_stepping`` finds the dominant translate of two alcoves
   by stepping m = 0, 1, 2, ... and re-checks the verdict two steps further.
 * ``walk_to_fundamental_by_fractions`` walks a point into the fundamental
-  alcove in exact rational arithmetic.
+  alcove in exact rational arithmetic, with walls of its own.
+* ``reduced_word_by_products`` strips the first generator that shortens an
+  element, by group products and lengths, where the library walks the
+  element's alcove point.
 * ``finite_word_by_inversions`` strips simple reflections off a finite
   Weyl group matrix by counting the positive roots it makes negative.
 * ``longest_element_by_bfs`` takes the longest element of a breadth-first
@@ -184,6 +187,12 @@ def generic_leq_by_stepping(a, b):
     return v
 
 
+def affine_coroots(datum):
+    """theta^vee for each affine generator t_{-theta} s_theta, in order."""
+    return [datum.positive_coroots[datum.positive_roots.index(
+        tuple(-t for t in g.trans))] for g in weyl.affine_generators(datum)]
+
+
 def walk_to_fundamental_by_fractions(datum, point):
     """y in W with y(point) in the closed fundamental alcove: repeatedly
     reflect in the first simple wall with <q, c> < 0, else in the first
@@ -191,7 +200,7 @@ def walk_to_fundamental_by_fractions(datum, point):
     gens = weyl.all_generators(datum)
     n_aff = len(gens) - datum.rank
     simple = [(c, gens[n_aff + i]) for i, c in enumerate(datum.simple_coroots)]
-    affine = [(c, gens[j]) for j, (_, c) in enumerate(weyl._affine_walls(datum))]
+    affine = list(zip(affine_coroots(datum), gens))
     y = weyl.identity(datum)
     q = tuple(Fraction(c) for c in point)
     for _ in range(100000):
@@ -203,6 +212,21 @@ def walk_to_fundamental_by_fractions(datum, point):
         q = crossed.apply(q)
         y = weyl.multiply(crossed, y)
     raise AssertionError("alcove walk does not terminate")
+
+
+def reduced_word_by_products(x):
+    """The lex-minimal reduced word of x in W: strip, each time, the first
+    generator g of S with l(g x) < l(x), until the length is zero."""
+    gens = weyl.all_generators(x.datum)
+    word = []
+    while x.length():
+        i = next(i for i, g in enumerate(gens)
+                 if weyl.multiply(g, x).length() < x.length())
+        word.append(i)
+        x = weyl.multiply(gens[i], x)
+    if not x.is_identity():
+        raise ValueError("element is not in the affine Weyl group")
+    return tuple(word)
 
 
 def _inversions(datum, mat):

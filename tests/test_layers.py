@@ -29,6 +29,23 @@ def test_public_callables_are_plain_functions_of_their_layer(layer):
             assert obj.__module__ == module.__name__, "%s.%s" % (layer, name)
 
 
+def test_names_the_tracer_counts_and_times_exist():
+    # A renamed function would leave its counter reading 0, not fail.
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        run = importlib.import_module("run")
+        tracer = importlib.import_module("tracer")
+    finally:
+        sys.path.remove(os.path.join(ROOT, "perfbench"))
+    names = [name for _, name in run.COUNTED]
+    for name in names + list(tracer.TIMED) + list(tracer.COUNTED_PRIVATE):
+        layer, *path = name.split(".")
+        obj = importlib.import_module("affkl." + layer)
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        assert callable(obj), name
+
+
 def test_traced_cli_pass_counts_the_kl_recursion(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
                AFFKL_CACHE_DIR=str(tmp_path))

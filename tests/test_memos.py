@@ -98,6 +98,24 @@ def test_generic_order_leaves_no_memo_keyed_by_pairs():
     assert max(sizes.values()) <= bound, sizes
 
 
+def test_reduced_word_memo_holds_only_the_elements_asked():
+    """Every element of an A2/5 window, longest first, on a datum whose
+    memo starts empty: the reduced_word entry holds one word per element
+    asked, none of the shorter elements its walk passes."""
+    window = weyl.enumerate_W(rootdata.build_root_datum("A2"), 5)
+    d = rootdata.build_root_datum("A2")
+    for n, x in enumerate(reversed(window), 1):
+        weyl.reduced_word(weyl.ExtElem(d, x.fin, x.trans))
+        assert len(d.memo.entry("reduced_word")) == n
+
+
+def test_reduced_word_of_a_far_element_stops_at_the_walk_guard():
+    d = rootdata.build_root_datum("A1")
+    assert len(weyl.reduced_word(weyl.translation(d, (60000,)))) == 60000
+    with pytest.raises(ValueError, match="100000-step guard"):
+        weyl.reduced_word(weyl.translation(d, (120000,)))
+
+
 @pytest.mark.parametrize("module", [alcoves, periodic, ch],
                          ids=lambda m: m.__name__)
 def test_public_functions_are_plain_functions(module):

@@ -1,7 +1,15 @@
 """Fuzzing the parsers and document loaders: every input either parses or
 is refused with ValueError (the CLI's ConfigError and the loader's
 TableValidationError are ones; all exit 2), never another exception.  Only
-the parsers and loaders run; no command computes on what they return."""
+the parsers and loaders run; no command computes on what they return.  The
+KL disk cache loader never raises: a damaged file answers with the right
+column or with None."""
+
+import json
+import os
+import struct
+import tempfile
+import zlib
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -123,3 +131,75 @@ def test_table_from_json_loads_or_refuses(label, doc):
     except ValueError:  # TableValidationError included
         return
     assert table.datum is d
+
+
+# -- the KL disk cache loader --------------------------------------------------
+
+KL_DATUM = rootdata.build_root_datum("A2")
+KL_WINDOW = weyl.enumerate_W(KL_DATUM, 3)
+_KL_FILE = {}
+
+
+def _kl_file():
+    """(header, bytes, columns) of a real A2 cache file holding the column
+    of every element of KL_WINDOW, built once."""
+    if not _KL_FILE:
+        columns = {w: hecke.kl_basis(w) for w in KL_WINDOW}
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = hecke.KLCache(os.path.join(tmp, "a2.klcache"), KL_DATUM)
+            for w, column in columns.items():
+                cache.put(KL_DATUM, w, column)
+            with open(cache.path, "rb") as fh:
+                _KL_FILE["file"] = cache._header(), fh.read(), columns
+    return _KL_FILE["file"]
+
+
+def _load_and_check(blob):
+    """Every get on a cache loaded from blob is the right column or None."""
+    columns = _kl_file()[2]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a2.klcache")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        cache = hecke.KLCache(path, KL_DATUM)
+        for w, column in columns.items():
+            got = cache.get(KL_DATUM, w)
+            assert got is None or got == column, weyl.to_text(w)
+
+
+EDIT = st.tuples(st.sampled_from(["truncate", "flip", "insert"]),
+                 st.integers(0, 1 << 20), st.integers(0, 7),
+                 st.binary(min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(EDIT, min_size=1, max_size=3))
+def test_klcache_loader_survives_damaged_files(edits):
+    blob = bytearray(_kl_file()[1])
+    for kind, at, bit, extra in edits:
+        at %= len(blob) + 1
+        if kind == "truncate":
+            del blob[at:]
+        elif kind == "flip" and blob:
+            blob[at % len(blob)] ^= 1 << bit
+        elif kind == "insert":
+            blob[at:at] = extra
+    _load_and_check(bytes(blob))
+
+
+# Random JSON values only: a real column with terms dropped or exponents
+# moved inside the shape bounds still passes get's shape check.
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.sampled_from(KL_WINDOW).map(weyl.to_text),
+                          JSON), min_size=1, max_size=3),
+       st.booleans())
+def test_klcache_loader_drops_crc_valid_records_of_random_values(records,
+                                                                 after_real):
+    header, blob, _ = _kl_file()
+    out = bytearray(blob if after_real else header)
+    for key, value in records:
+        kb, vb = key.encode(), json.dumps(value).encode()
+        out += (struct.pack("<I", len(kb)) + kb + struct.pack("<I", len(vb))
+                + vb + struct.pack("<I", zlib.crc32(kb + vb)))
+    _load_and_check(bytes(out))

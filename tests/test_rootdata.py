@@ -23,14 +23,13 @@ def test_simple_pairings_reproduce_cartan(a2, c2):
 
 
 def test_rho_and_coxeter_number(a1, a2, c2):
-    assert a1.rho == (Fraction(1),)
     assert a1.coxeter_number == 2
     assert a2.coxeter_number == 3
     assert c2.coxeter_number == 4
-    # rho pairs to 1 with every simple coroot
+    # rho, the half-sum of the positive roots, is varsigma
     for d in (a1, a2, c2):
-        for c in d.simple_coroots:
-            assert pair(d.rho, c) == 1
+        rho = tuple(Fraction(sum(col), 2) for col in zip(*d.positive_roots))
+        assert rho == d.varsigma
 
 
 def test_varsigma_pairs_to_one(a1, a2, c2):

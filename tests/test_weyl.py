@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from affkl import rootdata, weyl
 from affkl.rootdata import pair
-from oracles import (bfs_lengths, bruhat_leq_by_stripping,
+from oracles import (affine_coroots, bfs_lengths, bruhat_leq_by_stripping,
                      finite_word_by_inversions, longest_element_by_bfs,
+                     reduced_word_by_products,
                      walk_to_fundamental_by_fractions)
 
 LABELS = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"]
@@ -48,8 +49,7 @@ def test_length_matches_bfs_small(a1, c2):
 def test_translation_lengths(a1, c2):
     alpha = a1.simple_roots[0]
     assert weyl.translation(a1, alpha).length() == 2
-    rho = tuple(int(c) for c in c2.rho)
-    assert weyl.translation(c2, rho).length() == 7  # = bounds baseline
+    assert weyl.translation(c2, c2.varsigma).length() == 7  # = bounds baseline
 
 
 def test_generators_have_length_one(a1, a2, c2):
@@ -115,6 +115,24 @@ def test_reduced_word_of_prefix_drops_the_last_letter(label, bound):
         word = weyl.reduced_word(y)
         assert weyl.reduced_word(weyl.multiply(y, gens[word[-1]])) \
             == word[:-1], weyl.to_text(y)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_reduced_words_match_the_product_search(label):
+    """The wall walk gives the words that stripping the first shortening
+    generator by products gives, on a small window and on all of W_f; an
+    element outside W is refused by both."""
+    d = rootdata.build_root_datum(label)
+    for x in weyl.enumerate_W(d, 3 if d.rank < 3 else 2):
+        assert weyl.reduced_word(x) == reduced_word_by_products(x), x
+    shift = len(weyl.all_generators(d)) - d.rank - 1
+    for x in weyl.finite_elements(d):
+        assert weyl.finite_word(d, x.fin) \
+            == tuple(i - shift for i in reduced_word_by_products(x)), x
+    for om in weyl.omega_elements(d)[1:]:
+        for word in (weyl.reduced_word, reduced_word_by_products):
+            with pytest.raises(ValueError, match="not in the affine Weyl"):
+                word(om)
 
 
 @settings(max_examples=25, deadline=None)
@@ -239,7 +257,7 @@ def test_walk_to_fundamental_matches_fraction_walk(label):
     seeded random rational points, and y(point) in the closed alcove."""
     d = rootdata.build_root_datum(label)
     rng = random.Random(label)
-    walls = weyl._affine_walls(d)
+    coroots = affine_coroots(d)
     for _ in range(300):
         point = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 12))
                       for _ in range(d.lattice_rank))
@@ -247,7 +265,7 @@ def test_walk_to_fundamental_matches_fraction_walk(label):
         assert y == walk_to_fundamental_by_fractions(d, point), point
         image = y.apply(point)
         assert all(pair(image, c) >= 0 for c in d.simple_coroots)
-        assert all(pair(image, c) <= 1 for _, c in walls)
+        assert all(pair(image, c) <= 1 for c in coroots)
 
 
 @pytest.mark.parametrize("label", LABELS)
