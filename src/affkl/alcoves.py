@@ -6,7 +6,7 @@ An :class:`Alcove` stores the W-element and caches the integer point
 h x(b0) inside it (b0 = varsigma / h, an interior point of A_fund that has
 pairing 1/h with every wall; see ``weyl._alcove_point``).  Dominance, the
 box representatives and the generic order are sign and rounding tests on
-that point; the exact rational barycenter x(b0) is a view of it.
+that point, in integers.
 
 Left multiplication by any extended element y acts on alcoves via the
 decomposition y*x = omega*w: the image alcove is (y x omega^{-1})(A_fund),
@@ -15,8 +15,6 @@ arithmetic.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import weyl
 from .rootdata import add_weights, pair, scale_weight, sub_weights
@@ -50,12 +48,6 @@ class Alcove:
     @property
     def datum(self):
         return self.elem.datum
-
-    @property
-    def barycenter(self):
-        """The exact point x(b0)."""
-        h = self.datum.coxeter_number
-        return tuple(Fraction(c, h) for c in _point(self))
 
     def __eq__(self, other):
         return isinstance(other, Alcove) and self.elem == other.elem

@@ -14,7 +14,6 @@ maps weight -> multiplicity.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import product
 
 from . import alcoves, hecke, periodic, weyl
@@ -114,8 +113,7 @@ def block_position(datum, lam, p):
     _check_weight(datum, lam)
     if not _is_regular(datum, lam, p):
         raise ValueError("weight lies on a p-wall; its block is singular")
-    point = tuple(Fraction(c, p) for c in add_weights(lam, datum.varsigma))
-    y = weyl.walk_to_fundamental(datum, point)
+    y = weyl.walk_to_fundamental(datum, add_weights(lam, datum.varsigma), p)
     base = weyl.dot_p(y, lam, p)
     return base, weyl.invert(y)
 
@@ -136,17 +134,10 @@ def projective_multiplicities(table, w):
     restricted (the hypotheses of the multiplicity theorem); refuses
     anything else rather than extrapolate.
     """
-    datum = table.datum
-    t_vs = weyl.translation(datum, datum.varsigma)
-    shifted = weyl.multiply(t_vs, w)
-    if not weyl.is_fWext(shifted):
+    violation = _label_violation(w)
+    if violation:
         raise ValueError(
-            "index violates the hypothesis: t_varsigma * w is not coset-minimal"
-        )
-    if not weyl.is_restricted(shifted):
-        raise ValueError(
-            "index violates the hypothesis: t_varsigma * w is not restricted"
-        )
+            "index violates the hypothesis: t_varsigma * w is not " + violation)
     col = table.column(w)
     return {y: p.evaluate_at_one() for y, p in col.items()
             if p.evaluate_at_one() != 0}
@@ -429,11 +420,18 @@ def _lower_block_candidates(datum, lam, p):
 # tilting / projective bookkeeping
 
 
+def _label_violation(w):
+    """The first hypothesis of the multiplicity theorem that t_varsigma * w
+    breaks, "coset-minimal" or "restricted"; None when it keeps both."""
+    shifted = weyl.multiply(weyl.translation(w.datum, w.datum.varsigma), w)
+    if not weyl.is_fWext(shifted):
+        return "coset-minimal"
+    return None if weyl.is_restricted(shifted) else "restricted"
+
+
 def projective_label_valid(w):
     """The hypothesis of the index translation: t_varsigma * w restricted."""
-    t_vs = weyl.translation(w.datum, w.datum.varsigma)
-    shifted = weyl.multiply(t_vs, w)
-    return weyl.is_fWext(shifted) and weyl.is_restricted(shifted)
+    return _label_violation(w) is None
 
 
 def tilting_to_projective(w):

@@ -78,22 +78,12 @@ def _build_table(datum, args):
 
 
 def _parse_elem(datum, text):
-    """Accept the canonical text form or a bare generator word 's0 s1'."""
+    """Accept the canonical text form or a bare generator word 's0 s1',
+    which weyl.from_text reads as the word field 'w: s0 s1'."""
     text = text.strip()
-    if not text or text == "e":
-        return weyl.identity(datum)
-    if ":" in text:
-        return weyl.from_text(datum, text)
-    gens = weyl.all_generators(datum)
-    names = weyl.generator_names(datum)
-    by_name = dict(zip(names, gens))
-    out = weyl.identity(datum)
-    for tok in text.split():
-        if tok not in by_name:
-            raise ConfigError("unknown generator %r (have %s)"
-                              % (tok, " ".join(names)))
-        out = weyl.multiply(out, by_name[tok])
-    return out
+    if text and text != "e" and ":" not in text:
+        text = "w: " + text
+    return weyl.from_text(datum, text)
 
 
 def _parse_weight(datum, text):
@@ -434,11 +424,11 @@ def _embedding(datum):
 
 def _window_alcoves(datum, bound):
     fund = alcoves.fundamental_alcove(datum)
+    limit = datum.coxeter_number * bound
 
-    def inside(a):
-        bary = a.barycenter
-        return all(abs(pair(bary, c)) <= bound
-                   for c in datum.positive_coroots)
+    def inside(a):  # |<x(b0), c>| <= bound, on the point h x(b0)
+        q = alcoves._point(a)
+        return all(abs(pair(q, c)) <= limit for c in datum.positive_coroots)
 
     if not inside(fund):  # then the window holds no alcove at all
         raise ConfigError("--bound %d holds no alcove" % bound)
@@ -464,24 +454,15 @@ def _shading(datum, expr):
     expr = (expr or "").strip()
     if not expr or expr == "none":
         return (lambda a: False), labels
-    if expr == "restricted":
-        def pred(a):
-            bary = a.barycenter
-            return all(0 < pair(bary, c) < 1 for c in datum.simple_coroots)
-        return pred, labels
+    m = re.fullmatch(r"box\(([-\d,\s]+)\)", expr)
+    if m or expr == "restricted":  # restricted: the box above the weight 0
+        mu = _parse_weight(datum, m.group(1)) if m else (0,) * datum.lattice_rank
+        return (lambda a: alcoves.box_rep_above(a) == mu), labels
     m = re.fullmatch(r"fW-window\((\d+)\)", expr)
     if m:
         n = int(m.group(1))
         def pred(a):
             return alcoves.is_dominant(a) and a.elem.length() <= n
-        return pred, labels
-    m = re.fullmatch(r"box\(([-\d,\s]+)\)", expr)
-    if m:
-        mu = _parse_weight(datum, m.group(1))
-        def pred(a):
-            bary = a.barycenter
-            return all(0 < pair(bary, c) - pair(mu, c) < 1
-                       for c in datum.simple_coroots)
         return pred, labels
     if expr.startswith("list:"):
         keys = set()

@@ -365,42 +365,51 @@ def kl_basis(w):
 
 
 def _kl_w(u):
+    """The KL element of u in W, in loops along one reduced word: walk down
+    the right-descent chain u, u s, ... (the lex-minimal reduced word of
+    u s is that of u without its last letter s) to the first element in
+    memory or on disk, or to the identity, then build back up."""
     datum = u.datum
     memo = datum.memo.entry("kl")
-    if u in memo:
-        return memo[u]
     disk = datum.memo.entry("kl_disk_cache", lambda: None)
-    if disk is not None:
-        got = disk.get(datum, u)
+    chain, word = [], None  # (element, length) missed on the way down
+    while u not in memo:
+        got = None if disk is None else disk.get(datum, u)
         if got is not None:
             memo[u] = got
-            return got
-    gens = weyl.all_generators(datum)
-    if u.length() == 0:
-        out = unit(datum)
-    else:
-        word = weyl.reduced_word(u)
-        s = gens[word[-1]]  # right descent of u
-        uprev = weyl.multiply(u, s)
-        prev = _kl_w(uprev)
-        # (KL of u') * (H_s + v)
-        cand = prev.step(s) + prev.scale(v)
-        # subtract mu-corrections at keys y with ys < y
-        corr = HeckeElem(datum)
-        for y, p in sorted(cand.support.items(),
-                           key=lambda kv: -kv[0].length()):
-            if y == u:
-                continue
-            if weyl.multiply(y, s).length() < y.length():
-                # the KL part contributes no constant term at H_y, so the
-                # constant term left after higher corrections is mu(y, u')
-                mu = (p - corr.coeff(y)).coeff(0)
-                if mu:
-                    corr = corr + _kl_w(y).scale(LaurentPoly.term(mu))
-        out = cand - corr
-    memo[u] = out
-    if disk is not None:
-        disk.put(datum, u, out)
+            break
+        n = u.length()
+        chain.append((u, n))
+        if n == 0:
+            break
+        if word is None:
+            word, gens = weyl.reduced_word(u), weyl.all_generators(datum)
+        u = weyl.multiply(u, gens[word[n - 1]])
+    out = memo.get(u)
+    for u, n in reversed(chain):
+        if n == 0:
+            out = unit(datum)
+        else:
+            s = gens[word[n - 1]]  # right descent of u
+            # (KL of u s) * (H_s + v), less the mu-corrections at keys y
+            # with ys < y
+            cand = out.step(s) + out.scale(v)
+            corr = HeckeElem(datum)
+            for y, p in sorted(cand.support.items(),
+                               key=lambda kv: -kv[0].length()):
+                if y == u:
+                    continue
+                if weyl.multiply(y, s).length() < y.length():
+                    # the KL part contributes no constant term at H_y, so
+                    # the constant term left after higher corrections is
+                    # mu(y, u s)
+                    mu = (p - corr.coeff(y)).coeff(0)
+                    if mu:
+                        corr = corr + _kl_w(y).scale(LaurentPoly.term(mu))
+            out = cand - corr
+        memo[u] = out
+        if disk is not None:
+            disk.put(datum, u, out)
     return out
 
 
@@ -599,9 +608,12 @@ class PCanonicalTable:
 
 
 def builtin_kl_table(datum, basis_kind="H"):
-    """The Kazhdan-Lusztig instance of the table (valid for p >> 0)."""
-    return PCanonicalTable(datum, "infinity", basis_kind, builtin=True,
-                           label="builtin-kl")
+    """The Kazhdan-Lusztig instance of the table (valid for p >> 0), one per
+    datum and basis kind, so the query memos keyed by table hit."""
+    return datum.memo.entry(
+        "builtin_kl_table_" + basis_kind,
+        lambda: PCanonicalTable(datum, "infinity", basis_kind, builtin=True,
+                                label="builtin-kl"))
 
 
 def validate_table(table):

@@ -117,16 +117,20 @@ def _wall_step(datum, a, s):
 def _act_standard_alcove(datum, a, word):
     """a . H_u for a single alcove, u given by its reduced word (as from
     weyl.reduced_word), memoized along prefixes: dropping the last letter
-    s of the lex-minimal reduced word of u gives that of u s."""
+    s of the lex-minimal reduced word of u gives that of u s.  Built in a
+    loop from the longest memoized prefix."""
     cache = datum.memo.entry("periodic_standard_action")
-    key = (a.elem, word)
-    if key not in cache:
-        if not word:
-            cache[key] = periodic_standard(a)
-        else:
-            s = weyl.all_generators(datum)[word[-1]]
-            cache[key] = _act_standard_alcove(datum, a, word[:-1]).step(s)
-    return cache[key]
+    k = len(word)
+    while (a.elem, word[:k]) not in cache:
+        if not k:
+            cache[a.elem, ()] = periodic_standard(a)
+            break
+        k -= 1
+    out = cache[a.elem, word[:k]]
+    for j in range(k, len(word)):
+        s = weyl.all_generators(datum)[word[j]]
+        out = cache[a.elem, word[:j + 1]] = out.step(s)
+    return out
 
 
 def per_act(x, h):

@@ -10,8 +10,9 @@ coroots form a basis of the cocharacter lattice.
 * positive roots/coroots are enumerated by reflection closure, ordered by
   height then lexicographically (stable IDs for caches and output).
 
-Weights are plain integer tuples; rational points (alcove barycenters)
-are tuples of :class:`fractions.Fraction`.  All arithmetic is exact.  On
+Weights are plain integer tuples, and so are points of the alcove
+geometry: a rational point is carried as an integer point and a positive
+integer scale (see ``weyl._alcove_point``).  All arithmetic is exact.  On
 simply-connected data the half-sum of the positive roots is the integer
 weight ``varsigma``, pairing to 1 with every simple coroot.
 """

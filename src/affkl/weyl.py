@@ -18,13 +18,11 @@ exactly when its wall separates that point from A_fund.  One wall table
 and one walk that crosses separating walls serve the reduced words
 (lexicographically minimal, with the affine generator named s0 sorting
 first; used by the text form and the Hecke-algebra recursions), the walk
-of a point into the fundamental alcove, and the Bruhat order.
+of a point into the fundamental alcove, and the Bruhat order; the
+restricted test is a box test on the same point.
 """
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 from ._intlinalg import inverse
 from .rootdata import add_weights, neg_weight, pair, scale_weight, sub_weights
@@ -273,17 +271,11 @@ def generator_names(datum):
 # Omega and decompositions
 
 
-def walk_to_fundamental(datum, point):
-    """Return y in W with y(point) inside the closed fundamental alcove.
-
-    The walk runs on D * point, D the common denominator of the point's
-    coordinates, with the wall levels scaled from h to D, so every wall
-    test is an integer comparison.  It crosses the simple walls before the
-    affine ones.
-    """
-    point = tuple(Fraction(c) for c in point)
-    scale = math.lcm(*(c.denominator for c in point))
-    q = tuple(c.numerator * (scale // c.denominator) for c in point)
+def walk_to_fundamental(datum, q, scale):
+    """Return y in W with y(q / scale) inside the closed fundamental alcove,
+    for an integer point q and a positive integer scale: the wall levels
+    are scaled from h to scale, so every wall test is an integer
+    comparison.  The simple walls are crossed before the affine ones."""
     h = datum.coxeter_number
     walls = [(c, level // h * scale, r) for c, level, r in _walls(datum)]
     n_aff = len(walls) - datum.rank
@@ -303,7 +295,7 @@ def omega_of_weight(datum, weight):
     if weight not in memo:
         h = datum.coxeter_number
         y = walk_to_fundamental(datum, tuple(
-            Fraction(h * c + r, h) for c, r in zip(weight, datum.varsigma)))
+            h * c + r for c, r in zip(weight, datum.varsigma)), h)
         x_lambda = invert(y)
         omega = multiply(invert(x_lambda), translation(datum, weight))
         memo[weight] = (omega, x_lambda)
@@ -509,14 +501,11 @@ def dot_p(w, lam, p):
 
 
 def is_restricted(w):
-    """True iff w dot_p 0 lies in the restricted box 0 <= <., a^vee> <= p-1.
-
-    The verdict does not depend on p; it is evaluated at p0 = 2h + 1.
-    """
-    d = w.datum
-    p0 = 2 * d.coxeter_number + 1
-    lam = dot_p(w, (0,) * d.lattice_rank, p0)
-    return all(0 <= pair(lam, c) <= p0 - 1 for c in d.simple_coroots)
+    """True iff w dot_p 0 lies in the restricted box 0 <= <., a^vee> <= p-1,
+    for any p > h: w dot_p 0 + varsigma = p w(varsigma / p) lies in the
+    alcove w(A_fund), so the box test reads its point h x(b0), on no wall."""
+    q, h = _alcove_point(w), w.datum.coxeter_number
+    return all(0 < pair(q, c) < h for c in w.datum.simple_coroots)
 
 
 def enumerate_W(datum, max_len):
@@ -589,7 +578,8 @@ def from_text(datum, text):
         if field.startswith("w:"):
             for tok in field[2:].split():
                 if tok not in by_name:
-                    raise ValueError("unknown generator %r" % tok)
+                    raise ValueError("unknown generator %r (have %s)"
+                                     % (tok, " ".join(names)))
                 result = multiply(result, by_name[tok])
         elif field.startswith("t:"):
             body = field[2:].strip()

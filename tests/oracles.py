@@ -43,6 +43,9 @@ production algorithm, so agreement is evidence rather than tautology:
   signs off alcove points.
 * ``lower_block_candidates_by_walk`` scans the box below a weight and keeps
   the points whose alcove walk ends at the weight's own base weight.
+* ``is_restricted_by_dot_action`` tests restrictedness by the dilated dot
+  action at p = 2h + 1, and ``in_box_by_barycenter`` box membership on the
+  rational barycenter, where the library reads the integer alcove point.
 """
 
 from __future__ import annotations
@@ -417,3 +420,22 @@ def lower_block_candidates_by_walk(datum, lam, p):
             out.append(x)
     return sorted(out, key=lambda w: (
         -sum(pair(w, c) for c in datum.positive_coroots), w))
+
+
+def is_restricted_by_dot_action(w):
+    """weyl.is_restricted by its definition: w dot_p 0 lies in the
+    restricted box 0 <= <., a_i^vee> <= p - 1, at p = 2h + 1."""
+    d = w.datum
+    p = 2 * d.coxeter_number + 1
+    lam = weyl.dot_p(w, (0,) * d.lattice_rank, p)
+    return all(0 <= pair(lam, c) <= p - 1 for c in d.simple_coroots)
+
+
+def in_box_by_barycenter(a, mu):
+    """The alcove a lies in the box above the weight mu: its rational
+    barycenter x(b0), b0 = varsigma / h, pairs into (<mu, c>, <mu, c> + 1)
+    with every simple coroot c."""
+    d = a.datum
+    bary = a.elem.apply(tuple(Fraction(r, d.coxeter_number)
+                              for r in d.varsigma))
+    return all(0 < pair(bary, c) - pair(mu, c) < 1 for c in d.simple_coroots)

@@ -33,9 +33,9 @@ def test_fundamental_alcove_is_dominant(a1, c2):
     for d in (a1, c2):
         fund = alcoves.fundamental_alcove(d)
         assert alcoves.is_dominant(fund)
-        bary = fund.barycenter
+        q, h = alcoves._point(fund), d.coxeter_number
         for c in d.positive_coroots:
-            assert 0 < pair(bary, c) < 1
+            assert 0 < pair(q, c) < h
 
 
 def test_dominant_iff_coset_minimal(c2):
@@ -108,12 +108,13 @@ def test_box_representatives(a1, c2):
     assert alcoves.box_rep_below(fund) == (1,)
     assert alcoves.box_rep_above(fund) == (0,)
     for d in (a1, c2):
+        h = d.coxeter_number
         for a in alcoves.enumerate_alcoves(d, 4):
             below = alcoves.translate(a, neg_weight(alcoves.box_rep_below(a)))
             above = alcoves.translate(a, neg_weight(alcoves.box_rep_above(a)))
             for c in d.simple_coroots:
-                assert -1 < pair(below.barycenter, c) < 0
-                assert 0 < pair(above.barycenter, c) < 1
+                assert -h < pair(alcoves._point(below), c) < 0
+                assert 0 < pair(alcoves._point(above), c) < h
 
 
 @settings(max_examples=25, deadline=None)

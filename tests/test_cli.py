@@ -6,12 +6,14 @@ import resource
 import subprocess
 import sys
 import time
+from itertools import product
 
 import pytest
 
-from affkl import hecke, periodic, weyl
+from affkl import cli, hecke, periodic, rootdata, weyl
 from affkl.cli import main
 from affkl.hecke import one, v
+from oracles import in_box_by_barycenter
 
 
 def _run(capsys, *argv):
@@ -195,6 +197,22 @@ def test_draw_svg_and_tikz(capsys):
     assert "{A}" in out and "{D}" in out
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "C2", "G2"])
+def test_box_shadings_match_the_barycenter_oracle(label):
+    d = rootdata.build_root_datum(label)
+    window = cli._window_alcoves(d, 3)
+    boxes = [("restricted", (0, 0))] + [
+        ("box(%d,%d)" % mu, mu) for mu in
+        (d.weight_with_pairings(k) for k in product(range(-1, 2), repeat=2))]
+    shaded = 0
+    for expr, mu in boxes:
+        pred, _ = cli._shading(d, expr)
+        verdicts = [pred(a) for a in window]
+        assert verdicts == [in_box_by_barycenter(a, mu) for a in window], expr
+        shaded += sum(verdicts)
+    assert shaded > len(weyl.finite_elements(d))
+
+
 def test_draw_empty_shading_is_grid_only(capsys):
     code, out, _ = _run(capsys, "draw", "--type", "A2", "--bound", "2")
     assert code == 0
@@ -318,7 +336,7 @@ def test_far_away_input_exits_2_at_the_walk_guard(argv):
 
 
 def test_walk_guard_inside_verify_periodic_exits_2(capsys, monkeypatch):
-    def guard(datum, point):
+    def guard(datum, q, scale):
         raise ValueError(_WALK_GUARD[len("error: "):-1])
 
     monkeypatch.setattr(weyl, "walk_to_fundamental", guard)

@@ -108,6 +108,18 @@ def test_kl_dihedral_coefficients_are_single_powers(a1):
             assert p.max_exp() == w.length() - y.length() or y == w
 
 
+def test_kl_of_a_long_element_needs_no_deep_recursion(low_recursion_limit):
+    """t_(200) in A1 has length 200, twice the frames left to spare: the
+    infinite dihedral closed form h_{y,w} = v^{l(w) - l(y)} on every y
+    of length < 200 and at w itself."""
+    d = rootdata.build_root_datum("A1")
+    w = weyl.translation(d, (200,))
+    el = hecke.kl_basis(w)
+    assert set(el.support) == set(weyl.enumerate_W(d, 199)) | {w}
+    for y, p in el.support.items():
+        assert p == LaurentPoly.term(1, w.length() - y.length()), y
+
+
 def test_kl_matches_bar_fixed_point_oracle(a1, c2):
     memo = {}
     for d, bound in ((a1, 6), (c2, 4)):

@@ -1,7 +1,9 @@
 """The layer tracer of the benchmark (``perfbench/``) finds what it wraps:
 public entry points are plain module functions, and one traced CLI pass
-counts the KL recursion and times each ``verify_main`` call."""
+counts the KL recursion and times each ``verify_main`` call.  The layers
+compute in integers: only ``_intlinalg`` and ``cli`` import ``fractions``."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -63,3 +65,26 @@ def test_traced_cli_pass_counts_the_kl_recursion(tmp_path):
     # one timed verify_main call per check of the report
     assert len(trace["durations"]["parabolic.verify_main"]) \
         == len(rec["statuses"])
+
+
+def test_only_intlinalg_and_cli_import_fractions():
+    """The alcove geometry runs on integer points with a scale; Fractions
+    stay in the exact inverse of _intlinalg and the CLI's drawing
+    vertices."""
+    src = os.path.join(ROOT, "src", "affkl")
+    importers = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "fractions" in modules:
+                importers.add(name)
+    assert importers <= {"_intlinalg.py", "cli.py"}, importers

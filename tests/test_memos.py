@@ -85,6 +85,21 @@ def test_warm_datum_answers_equal_fresh_datum_answers(a1_table, a2_table,
             assert ch.projective_multiplicities_weight(c2_table, lam, 7) == want
 
 
+def test_repeated_builtin_table_queries_hit_one_memo_entry():
+    """The query memos are keyed by table, and builtin_kl_table hands out
+    one table per datum and kind, so repeating a query through a new
+    builtin_kl_table call hits the entry the first call left."""
+    d = rootdata.build_root_datum("A1")
+    a = alcoves.from_weyl(weyl.all_generators(d)[0])
+    for _ in range(50):
+        ch.q_of_alcove(hecke.builtin_kl_table(d), a)
+    assert len(d.memo.entry("periodic_p_canonical_P")) == 1
+    for _ in range(20):
+        ch.simple_character(hecke.builtin_kl_table(d), (6,), 5)
+    assert len(d.memo.entry("characters_simple_character")) == 1
+    assert hecke.builtin_kl_table(d, "N").basis_kind == "N"
+
+
 def test_generic_order_leaves_no_memo_keyed_by_pairs():
     """generic_leq on every ordered pair of a window memoizes nothing per
     pair: no memo entry outgrows the window times the generating set."""

@@ -82,6 +82,17 @@ def test_action_rejects_extended_support(a1):
         periodic.per_act(x, hecke.standard(om))
 
 
+def test_action_along_a_long_word_needs_no_deep_recursion(low_recursion_limit):
+    """A_fund . H_{t_(200)} in A1 folds a 200-letter word, twice the frames
+    left to spare; along a dominant translation every step goes
+    generically up, so only the translated alcove is left."""
+    d = rootdata.build_root_datum("A1")
+    fund = alcoves.fundamental_alcove(d)
+    x = periodic.per_act(periodic.periodic_standard(fund),
+                         hecke.standard(weyl.translation(d, (200,))))
+    assert x.support == {alcoves.translate(fund, (200,)): one}
+
+
 def test_canonical_fund_is_finite_orbit(a1, c2):
     for d in (a1, c2):
         el = periodic.canonical_P_fund(d, (0,) * d.lattice_rank)

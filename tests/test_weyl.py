@@ -1,5 +1,6 @@
 """Extended affine Weyl group: lengths, words, decompositions, orders."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from affkl import rootdata, weyl
 from affkl.rootdata import pair
 from oracles import (affine_coroots, bfs_lengths, bruhat_leq_by_stripping,
-                     finite_word_by_inversions, longest_element_by_bfs,
-                     reduced_word_by_products,
+                     finite_word_by_inversions, is_restricted_by_dot_action,
+                     longest_element_by_bfs, reduced_word_by_products,
                      walk_to_fundamental_by_fractions)
 
 LABELS = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"]
@@ -252,6 +253,19 @@ def test_restricted_box_membership_is_p_independent(a1):
 
 
 @pytest.mark.parametrize("label", LABELS)
+def test_restricted_matches_the_dot_action(label):
+    d = rootdata.build_root_datum(label)
+    verdicts = set()
+    for w in weyl.enumerate_W(d, 5 if d.rank <= 2 else 3):
+        for om in weyl.omega_elements(d):
+            for x in (weyl.multiply(om, w), weyl.multiply(w, om)):
+                got = weyl.is_restricted(x)
+                assert got == is_restricted_by_dot_action(x), x
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("label", LABELS)
 def test_walk_to_fundamental_matches_fraction_walk(label):
     """The integer alcove walk takes the rational walk's path: same y on
     seeded random rational points, and y(point) in the closed alcove."""
@@ -261,7 +275,9 @@ def test_walk_to_fundamental_matches_fraction_walk(label):
     for _ in range(300):
         point = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 12))
                       for _ in range(d.lattice_rank))
-        y = weyl.walk_to_fundamental(d, point)
+        scale = math.lcm(*(c.denominator for c in point))
+        y = weyl.walk_to_fundamental(
+            d, tuple(int(c * scale) for c in point), scale)
         assert y == walk_to_fundamental_by_fractions(d, point), point
         image = y.apply(point)
         assert all(pair(image, c) >= 0 for c in d.simple_coroots)
