@@ -95,7 +95,12 @@ def act_right(a, y):
 
 
 def translate(a, mu):
-    return act_left(weyl.translation(a.datum, mu), a)
+    """t_mu x = x t_{w^{-1}(mu)} for x = w t_m: one matrix-vector product
+    with the memoized inverse of w."""
+    x = a.elem
+    winv = weyl._mat_inv(a.datum, x.fin)
+    return Alcove(_set_stabilized(weyl.ExtElem(
+        a.datum, x.fin, add_weights(weyl._mat_apply(winv, mu), x.trans))))
 
 
 def _point(a):

@@ -422,11 +422,16 @@ def _lower_block_candidates(datum, lam, p):
 
 def _label_violation(w):
     """The first hypothesis of the multiplicity theorem that t_varsigma * w
-    breaks, "coset-minimal" or "restricted"; None when it keeps both."""
-    shifted = weyl.multiply(weyl.translation(w.datum, w.datum.varsigma), w)
-    if not weyl.is_fWext(shifted):
+    breaks, "coset-minimal" or "restricted"; None when it keeps both.  Its
+    alcove point, h varsigma plus w's, pairs > 0 with every simple coroot
+    when coset-minimal, and also < h when restricted (weyl.is_restricted)."""
+    d = w.datum
+    q = add_weights(scale_weight(d.coxeter_number, d.varsigma),
+                    weyl._alcove_point(w))
+    pairs = [pair(q, c) for c in d.simple_coroots]
+    if min(pairs) <= 0:
         return "coset-minimal"
-    return None if weyl.is_restricted(shifted) else "restricted"
+    return None if max(pairs) < d.coxeter_number else "restricted"
 
 
 def projective_label_valid(w):

@@ -13,7 +13,11 @@ the sign of that difference paired with the sum of the positive coroots.
 
 Translation by a weight acts on alcoves directly; it is not linear over the
 algebra action but twists it by the conjugation automorphism of the
-generating set (tested as a law in the suite).
+generating set (tested as a law in the suite).  For lam in the root lattice,
+t_lam lies in W and commutes with the action, and so with Lusztig's formula
+below, for any table: the box above A + lam is mu + lam and x_{mu + lam} =
+t_lam x_mu, so A + lam has A's column index, twist and coset tops, and the
+box star shifted by lam.
 
 The canonical basis element attached to an alcove A is computed from
 Lusztig's closed formula: take the box representative mu above A and act on
@@ -265,17 +269,28 @@ def canonical_P(alcove):
 
 def p_canonical_P(table, alcove):
     """Table-driven canonical basis element attached to an alcove, memoized
-    per (table, alcove); a table is not changed once loaded."""
+    per (table, alcove); a table is not changed once loaded.  The formula
+    runs only at bases w(A_fund), w in W_f, kept in the same entry: A =
+    (w t_m)(A_fund) gets its base's result translated by the root-lattice
+    weight lam = w(m) (module docstring).  A refusal is never kept."""
     if table.basis_kind != "H":
         raise ValueError("periodic canonical elements need an algebra table")
     cache = alcove.datum.memo.entry("periodic_p_canonical_P")
-    key = (table, alcove)
-    elem = cache.get(key)
+    elem = cache.get((table, alcove))
     if elem is None:
-        idx = _column_index(alcove)
-        if not table.has_column(idx):
-            raise KeyError("table has no column for %s" % weyl.to_text(idx))
-        elem = cache[key] = _lusztig_formula(alcove, table.column(idx))
+        x = alcove.elem
+        base = alcoves.Alcove(weyl.from_finite_matrix(x.datum, x.fin))
+        elem = cache.get((table, base))
+        if elem is None:
+            idx = _column_index(base)
+            if not table.has_column(idx):
+                raise KeyError("table has no column for %s"
+                               % weyl.to_text(idx))
+            elem = cache[table, base] = _lusztig_formula(base,
+                                                         table.column(idx))
+        lam = x.apply((0,) * x.datum.lattice_rank)
+        if any(lam):
+            elem = cache[table, alcove] = per_translate(elem, lam)
     return PeriodicElem(elem.datum, elem.support)  # the caller's own copy
 
 

@@ -29,6 +29,9 @@ production algorithm, so agreement is evidence rather than tautology:
 * ``canonical_P_by_division`` is Lusztig's periodic formula as written: act
   on the box star by every term of the column and divide by the box
   normalizer, with no use of the column's coset structure.
+* ``p_canonical_P_direct`` evaluates Lusztig's formula at the alcove asked,
+  where ``periodic.p_canonical_P`` translates the memoized result at the
+  alcove's base w(A_fund) by a root-lattice weight.
 * ``coset_constancy`` checks that the v = 1 values of a column of
   w_f * w are constant on finite cosets, finding each coset's shortest
   element by brute force over W_f.
@@ -292,6 +295,14 @@ def canonical_P_by_division(alcove, column):
         assert q is not None, "normalizer division is not exact at %r" % (a,)
         out[a] = q
     return periodic.PeriodicElem(datum, out)
+
+
+def p_canonical_P_direct(table, alcove):
+    """The table-driven periodic canonical element by Lusztig's formula at
+    the alcove itself, never memoized; a missing column raises the table's
+    KeyError."""
+    return periodic._lusztig_formula(
+        alcove, table.column(periodic._column_index(alcove)))
 
 
 def coset_constancy(table, w):

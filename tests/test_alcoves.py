@@ -90,16 +90,19 @@ def test_conjugated_longest_matches_products(label):
 @pytest.mark.parametrize("label", LABELS)
 def test_translation_moves_the_point_by_h_mu(label):
     """Omega fixes b0, so the translate by mu of an alcove has the point
-    h (x(b0) + mu), for mu in every Omega class."""
+    h (x(b0) + mu), for mu in every Omega class; and it is the alcove that
+    the group product t_mu x gives under the left action."""
     d = rootdata.build_root_datum(label)
     h = d.coxeter_number
     rng = random.Random(label)
     for a in alcoves.enumerate_alcoves(d, 2):
         for rep in d.quotient_representatives():
             mu = tuple(m + rng.randint(-2, 2) * h for m in rep)
-            assert weyl._alcove_point(alcoves.translate(a, mu).elem) \
+            b = alcoves.translate(a, mu)
+            assert weyl._alcove_point(b.elem) \
                 == tuple(q + h * m for q, m in
                          zip(weyl._alcove_point(a.elem), mu)), (a, mu)
+            assert b == alcoves.act_left(weyl.translation(d, mu), a), (a, mu)
 
 
 def test_box_representatives(a1, c2):

@@ -1,6 +1,8 @@
 """Character-level consequences: baby Verma multiplicities of projectives,
 simple characters, reciprocity inversion, tilting bookkeeping."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,6 +226,32 @@ def test_reciprocity_window_not_closed(a1, a1_table):
 
 
 # -- tilting bookkeeping ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3",
+                                   "G2"])
+def test_label_violation_matches_coset_minimality_and_restrictedness(label):
+    """The hypotheses read off the alcove point of t_varsigma * w are those
+    weyl.is_fWext and weyl.is_restricted give on the product, for labels
+    w = t omega x omega' over a window with Omega twists on either side,
+    t = t_{-varsigma} or e, so that every verdict occurs."""
+    d = rootdata.build_root_datum(label)
+    shifts = (weyl.translation(d, tuple(-c for c in d.varsigma)),
+              weyl.identity(d))
+    omegas = weyl.omega_elements(d)
+    seen = set()
+    for x in weyl.enumerate_W(d, 4 - d.rank):
+        for t, om, om2 in product(shifts, omegas, omegas):
+            w = weyl.multiply(t, weyl.multiply(weyl.multiply(om, x), om2))
+            shifted = weyl.multiply(weyl.translation(d, d.varsigma), w)
+            if not weyl.is_fWext(shifted):
+                want = "coset-minimal"
+            else:
+                want = None if weyl.is_restricted(shifted) else "restricted"
+            assert ch._label_violation(w) == want, (label, w)
+            assert ch.projective_label_valid(w) == (want is None)
+            seen.add(want)
+    assert seen == {None, "coset-minimal", "restricted"}
 
 
 def test_tilting_index_translation(a1):

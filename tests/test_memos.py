@@ -91,13 +91,44 @@ def test_repeated_builtin_table_queries_hit_one_memo_entry():
     builtin_kl_table call hits the entry the first call left."""
     d = rootdata.build_root_datum("A1")
     a = alcoves.from_weyl(weyl.all_generators(d)[0])
+    table = hecke.builtin_kl_table(d)
+    ch.q_of_alcove(table, a)
+    # the alcove asked, hat(a) = t_(2)(A_fund), and its base A_fund, whose
+    # result it translates
+    keys = {(table, alcoves.hat(a)), (table, alcoves.fundamental_alcove(d))}
+    assert weyl.to_text(alcoves.hat(a).elem) == "t: (2)"
+    assert set(d.memo.entry("periodic_p_canonical_P")) == keys
     for _ in range(50):
         ch.q_of_alcove(hecke.builtin_kl_table(d), a)
-    assert len(d.memo.entry("periodic_p_canonical_P")) == 1
+    assert set(d.memo.entry("periodic_p_canonical_P")) == keys
     for _ in range(20):
         ch.simple_character(hecke.builtin_kl_table(d), (6,), 5)
     assert len(d.memo.entry("characters_simple_character")) == 1
     assert hecke.builtin_kl_table(d, "N").basis_kind == "N"
+
+
+def test_periodic_memo_holds_the_window_and_at_most_its_bases():
+    """p_canonical_P on every alcove of an A2/4 window memoizes the
+    alcoves asked plus at most one base alcove per finite Weyl element."""
+    d = rootdata.build_root_datum("A2")
+    table = hecke.builtin_kl_table(d)
+    window = alcoves.enumerate_alcoves(d, 4)
+    for a in window:
+        periodic.p_canonical_P(table, a)
+    entry = d.memo.entry("periodic_p_canonical_P")
+    assert {a for _, a in entry} >= set(window)
+    assert len(entry) <= len(window) + len(weyl.finite_elements(d))
+
+
+def test_canonical_P_leaves_the_table_memo_empty():
+    """canonical_P evaluates the formula at the alcove asked and memoizes
+    nothing in p_canonical_P's entry, so the translation check of verify
+    periodic compares two evaluations, not a memo with itself."""
+    d = rootdata.build_root_datum("A2")
+    for a in alcoves.enumerate_alcoves(d, 3):
+        periodic.canonical_P(a)
+        periodic.canonical_P(alcoves.translate(a, d.varsigma))
+    assert not d.memo.entry("periodic_p_canonical_P")
 
 
 def test_generic_order_leaves_no_memo_keyed_by_pairs():

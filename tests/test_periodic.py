@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from affkl import alcoves, hecke, periodic, rootdata, weyl
 from affkl.hecke import LaurentPoly, one, v
 from oracles import (canonical_P_by_division, column_index_by_lengths,
-                     coset_tops_by_lengths, twisted_finite_by_tau)
+                     coset_tops_by_lengths, p_canonical_P_direct,
+                     twisted_finite_by_tau)
 
 
 def _alcove_strategy(datum, max_word=4):
@@ -265,6 +266,88 @@ def test_column_off_its_coset_structure_is_refused(a2, a2_table):
     with pytest.raises(RuntimeError) as err:
         periodic.p_canonical_P(bad, a)
     assert weyl.to_text(bottom) in str(err.value)
+
+
+def _base(a):
+    """The base alcove w(A_fund) of a = (w t_m)(A_fund)."""
+    return alcoves.Alcove(weyl.from_finite_matrix(a.datum, a.elem.fin))
+
+
+@pytest.mark.parametrize("label, bound, hats", [
+    ("A1", 6, True), ("A2", 3, True), ("A3", 2, True), ("B2", 3, True),
+    ("C2", 3, True), ("G2", 2, True),
+    # in rank 3 the hat alcoves' columns have length up to 22: seconds each
+    ("B3", 1, False), ("C3", 1, False)])
+def test_translate_route_matches_direct_formula(label, bound, hats):
+    """p_canonical_P, which translates the result at the base alcove,
+    equals Lusztig's formula at the alcove asked on every alcove of the
+    window (and its hat), asked in either order.  Fresh data, so that the
+    memo starts empty."""
+    d = rootdata.build_root_datum(label)
+    table = hecke.builtin_kl_table(d)
+    window = alcoves.enumerate_alcoves(d, bound)
+    asked = window + [alcoves.hat(a) for a in window if hats]
+    for a in asked + asked[::-1]:
+        assert periodic.p_canonical_P(table, a) \
+            == p_canonical_P_direct(table, a), a
+    assert any(a != _base(a) for a in asked)
+
+
+def test_translate_route_matches_direct_formula_on_a_json_table():
+    """The same on a partial table read back from JSON: an alcove whose
+    column the table holds gets the formula's answer, and one whose column
+    is missing gets the same KeyError as its base, asked before or after
+    it, and leaves no memo item."""
+    d = rootdata.build_root_datum("A2")
+    builtin = hecke.builtin_kl_table(d)
+    # the columns of the bases of length <= 1: every alcove has the column
+    # index of its base
+    columns = {periodic._column_index(alcoves.from_weyl(x))
+               for x in weyl.finite_elements(d) if x.length() <= 1}
+    table = hecke.table_from_json(hecke.dump_pcanonical(hecke.PCanonicalTable(
+        d, "infinity", "H", {w: builtin.column(w) for w in columns})), d)
+    held = missing = 0
+    for a in alcoves.enumerate_alcoves(d, 4):
+        if periodic._column_index(a) in columns:
+            held += 1
+            assert periodic.p_canonical_P(table, a) \
+                == p_canonical_P_direct(table, a), a
+            continue
+        missing += 1
+        messages = []
+        for b in (a, _base(a), a):
+            before = len(d.memo.entry("periodic_p_canonical_P"))
+            with pytest.raises(KeyError) as err:
+                periodic.p_canonical_P(table, b)
+            messages.append(str(err.value))
+            assert len(d.memo.entry("periodic_p_canonical_P")) == before
+        with pytest.raises(KeyError) as err:
+            p_canonical_P_direct(table, a)
+        assert messages == [str(err.value)] * 3, a
+    assert held and missing
+
+
+def test_off_structure_refusal_is_the_same_for_a_translate(a2, a2_table):
+    """A column without the coset structure is refused with the same text
+    whether the alcove asked is its base or a translate, every time."""
+    a = alcoves.from_weyl(weyl.multiply(*weyl.all_generators(a2)[:2]))
+    idx = periodic._column_index(a)
+    col = a2_table.column(idx)
+    top = max(col, key=weyl.sort_key)
+    col[top] = col[top] * v
+    bad = hecke.PCanonicalTable(a2, 2, "H", {idx: col})
+    lam = a2.simple_roots[0]
+    asked = [alcoves.translate(a, lam), a, _base(a)]
+    assert len({b.elem for b in asked}) == 3
+    messages = []
+    for b in asked + asked:
+        assert periodic._column_index(b) == idx
+        with pytest.raises(RuntimeError) as err:
+            periodic.p_canonical_P(bad, b)
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1 and "coset structure" in messages[0]
+    assert not any(t is bad for t, _ in
+                   a2.memo.entry("periodic_p_canonical_P"))
 
 
 def test_positivity_check_window_too_small(a1, a1_table):
