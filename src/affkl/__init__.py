@@ -8,7 +8,6 @@ submodules stay importable for the full API.
 
 from . import alcoves, characters, hecke, parabolic, periodic, rootdata, weyl
 from .alcoves import Alcove
-from .characters import MultiplicityTable
 from .hecke import HeckeElem, KLCache, LaurentPoly, PCanonicalTable
 from .parabolic import AsphElem, NotInImageError, SphElem
 from .periodic import PeriodicElem, PositivityWindowError
@@ -40,5 +39,4 @@ __all__ = [
     "NotInImageError",
     "PeriodicElem",
     "PositivityWindowError",
-    "MultiplicityTable",
 ]

@@ -8,9 +8,10 @@ pairing 1/h with every wall; see ``weyl._alcove_point``).  Dominance, the
 box representatives and the generic order are sign and rounding tests on
 that point, in integers.
 
-Left multiplication by any extended element y acts on alcoves via the
-decomposition y*x = omega*w: the image alcove is (y x omega^{-1})(A_fund),
-where y x omega^{-1} = omega w omega^{-1} lies in W, all in exact integer
+A product z = omega*w in W_ext of an alcove's element with an extended
+element (a translation on the left in ``translate``, any element on the
+right in ``act_right``) gives the alcove (z omega^{-1})(A_fund), where
+z omega^{-1} = omega w omega^{-1} lies in W, all in exact integer
 arithmetic.
 """
 
@@ -24,7 +25,6 @@ __all__ = [
     "fundamental_alcove",
     "from_weyl",
     "to_weyl",
-    "act_left",
     "act_right",
     "translate",
     "is_dominant",
@@ -82,11 +82,6 @@ def _set_stabilized(y):
     if omega.is_identity():
         return y
     return weyl.multiply(y, weyl.invert(omega))
-
-
-def act_left(y, a):
-    """The W_ext-action on V restricted to alcoves."""
-    return Alcove(_set_stabilized(weyl.multiply(y, a.elem)))
 
 
 def act_right(a, y):

@@ -16,24 +16,18 @@ from __future__ import annotations
 import math
 from itertools import product
 
-from . import alcoves, hecke, periodic, weyl
+from . import alcoves, periodic, weyl
 from ._intlinalg import inverse
 from .rootdata import add_weights, neg_weight, pair, scale_weight, sub_weights
 
 __all__ = [
-    "MultiplicityTable",
-    "block_multiplicity_table",
     "q_of_alcove",
     "q_via_coset_sum",
     "projective_multiplicities",
     "projective_multiplicities_weight",
-    "reciprocity_invert",
     "baby_verma_character",
     "simple_character",
     "dominant_part",
-    "tilting_to_projective",
-    "projective_label_valid",
-    "tilting_babyverma_mults",
     "block_position",
     "is_steinberg_type",
     "WindowError",
@@ -56,7 +50,8 @@ def q_of_alcove(table, a):
 
 def q_via_coset_sum(table, a):
     """The same multiplicities via the finite-coset sum over the column of
-    w_f * w, after normalizing A into the box below zero."""
+    w_f * w, after normalizing A into the box below zero.  The benchmark's
+    query mix cross-checks q_of_alcove against it."""
     datum = a.datum
     nu = alcoves.box_rep_below(a)
     a0 = alcoves.translate(a, neg_weight(nu))
@@ -84,6 +79,14 @@ def q_via_coset_sum(table, a):
 def _check_prime(p):
     if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError("p must be a prime, got %d" % p)
+
+
+def _check_table_prime(table, p):
+    """Refuse a table made for another prime; the built-in table, whose p
+    is "infinity", serves every prime."""
+    if isinstance(table.p, int) and table.p != p:
+        raise ValueError(
+            "the table was made for p = %d, not p = %d" % (table.p, p))
 
 
 def _check_weight(datum, lam):
@@ -126,6 +129,20 @@ def _normalizing_shift(datum, w, p):
         [-(pair(lam0, c) // p) - 1 for c in datum.simple_coroots])
 
 
+def _label_violation(w):
+    """The first hypothesis of the multiplicity theorem that t_varsigma * w
+    breaks, "coset-minimal" or "restricted"; None when it keeps both.  Its
+    alcove point, h varsigma plus w's, pairs > 0 with every simple coroot
+    when coset-minimal, and also < h when restricted (weyl.is_restricted)."""
+    d = w.datum
+    q = add_weights(scale_weight(d.coxeter_number, d.varsigma),
+                    weyl._alcove_point(w))
+    pairs = [pair(q, c) for c in d.simple_coroots]
+    if min(pairs) <= 0:
+        return "coset-minimal"
+    return None if max(pairs) < d.coxeter_number else "restricted"
+
+
 def projective_multiplicities(table, w):
     """Row of baby-Verma multiplicities of the projective cover indexed by w:
     y -> column-of-w entry at v = 1.
@@ -159,6 +176,7 @@ def projective_multiplicities_weight(table, lam, p):
     if p < 2 * datum.coxeter_number - 1:
         raise ValueError("needs p >= 2h - 1")
     _check_prime(p)
+    _check_table_prime(table, p)
     if is_steinberg_type(datum, lam, p):
         return {lam: 1}
     cache = datum.memo.entry("characters_projective_row")
@@ -177,95 +195,7 @@ def projective_multiplicities_weight(table, lam, p):
 
 
 # ---------------------------------------------------------------------------
-# reciprocity and characters
-
-
-class MultiplicityTable:
-    """Square integer table over a list of weight labels.
-
-    ``entries[(row, col)]`` is the multiplicity (Q-hat_row : Z-hat_col),
-    equal by reciprocity to [Z-hat_col : L-hat_row].
-    """
-
-    def __init__(self, labels, entries):
-        self.labels = tuple(tuple(l) for l in labels)
-        self.entries = {(tuple(r), tuple(c)): int(v)
-                        for (r, c), v in entries.items() if v}
-
-    def value(self, row, col):
-        return self.entries.get((tuple(row), tuple(col)), 0)
-
-
-def block_multiplicity_table(table, labels, p):
-    """Build the MultiplicityTable of projective rows over a weight window.
-
-    Checks that the window is downward closed: for every label, any lower
-    weight of the same block whose projective row meets the label must be a
-    label too (otherwise the reciprocity inversion would silently drop a
-    composition factor).  Lower weights whose simple module has no dominant
-    weight are exempt: they never contribute to dominant characters.
-    Violations raise WindowError naming the weights.
-    """
-    datum = table.datum
-    labels = [tuple(l) for l in labels]
-    label_set = set(labels)
-    entries = {}
-    missing = set()
-    for lam in labels:
-        for nu, m in projective_multiplicities_weight(table, lam, p).items():
-            entries[(lam, nu)] = m
-    for c in labels:
-        if is_steinberg_type(datum, c, p):
-            continue
-        for x in _lower_block_candidates(datum, c, p):
-            if x in label_set:
-                continue
-            if (projective_multiplicities_weight(table, x, p).get(c, 0)
-                    and _simple_has_dominant_weight(datum, x, p)):
-                missing.add(x)
-    if missing:
-        raise WindowError(
-            "window is not downward closed; missing labels: %s"
-            % sorted(missing)
-        )
-    return MultiplicityTable(labels, entries)
-
-
-def _weight_height(datum, lam):
-    return sum(pair(lam, c) for c in datum.positive_coroots)
-
-
-def reciprocity_invert(datum, mt):
-    """Invert the reciprocity system: from [Z-hat : L-hat] numbers to the
-    coefficients expressing each simple class in baby-Verma classes.
-
-    Entries about baby Vermas outside the window are ignored (the inversion
-    never needs them); a simple label occurring below a window column must
-    itself be in the window, and missing ones are reported.
-    """
-    labels = set(mt.labels)
-    missing = sorted(
-        {r for (r, c) in mt.entries if c in labels and r not in labels}
-    )
-    if missing:
-        raise WindowError("window is not closed; missing labels: %s" % missing)
-    order = sorted(mt.labels, key=lambda l: (_weight_height(datum, l), l))
-    n = len(order)
-    for lab in order:
-        if mt.value(lab, lab) != 1:
-            raise ValueError("diagonal entries must be 1")
-    # d[j][i] = [Z_j : L_i]; invert exactly over Q and check integrality
-    inv = inverse([[mt.value(order[i], order[j]) for i in range(n)]
-                   for j in range(n)])
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            val = inv[i][j]  # [L_i] = sum_j val * [Z_j]
-            if val.denominator != 1:
-                raise ValueError("inverse is not integral")  # pragma: no cover
-            if val:
-                entries[(order[i], order[j])] = int(val)
-    return MultiplicityTable(order, entries)
+# characters
 
 
 def baby_verma_character(datum, lam, p):
@@ -325,15 +255,16 @@ def _simple_has_dominant_weight(datum, lam, p):
 
 
 def simple_character(table, lam, p):
-    """Dominant part of the character of the simple module at a weight.
+    """Dominant part of the character of the G₁T-simple module L-hat(lam).
 
     Accepts a weight tuple or an extended-group element (read as the label
     w dot_p 0).  Implements the unitriangular inversion of the projective
     rows: ch L-hat(lam) = ch Z-hat(lam) - sum over lower block weights x of
     (Q-hat(x) : Z-hat(lam)) * ch L-hat(x), restricted pointwise to dominant
     weights; corrections whose simple module has no dominant weight drop out.
-    Results are memoized per (table, p) and weight; a table is not changed
-    once loaded.
+    For a non-restricted lam this is in general not the character of the
+    simple G-module L(lam).  Results are memoized per (table, p) and weight;
+    a table is not changed once loaded.
     """
     datum = table.datum
     if isinstance(lam, weyl.ExtElem):
@@ -343,6 +274,7 @@ def simple_character(table, lam, p):
     if p < 2 * datum.coxeter_number - 1:
         raise ValueError("needs p >= 2h - 1")
     _check_prime(p)
+    _check_table_prime(table, p)
     steinberg = is_steinberg_type(datum, lam, p)
     if not steinberg and not _is_regular(datum, lam, p):
         raise ValueError("singular non-Steinberg weights are not supported")
@@ -352,7 +284,11 @@ def simple_character(table, lam, p):
         if steinberg:
             memo[lam] = dominant_part(datum, baby_verma_character(datum, lam, p))
         else:
-            _simple_character(table, lam, p, memo, set())
+            try:
+                _simple_character(table, lam, p, memo, set())
+            except WindowError as exc:
+                raise WindowError("simple character at %s for p = %d: %s"
+                                  % (lam, p, exc)) from None
     return dict(memo[lam])  # the caller's own copy
 
 
@@ -381,6 +317,10 @@ def _simple_character(table, lam, p, memo, stack):
     stack.discard(lam)
     memo[lam] = out
     return out
+
+
+def _weight_height(datum, lam):
+    return sum(pair(lam, c) for c in datum.positive_coroots)
 
 
 def _lower_block_candidates(datum, lam, p):
@@ -414,81 +354,3 @@ def _lower_block_candidates(datum, lam, p):
             if _is_regular(datum, x, p):
                 out.append(x)
     return sorted(out, key=lambda w: (-_weight_height(datum, w), w))
-
-
-# ---------------------------------------------------------------------------
-# tilting / projective bookkeeping
-
-
-def _label_violation(w):
-    """The first hypothesis of the multiplicity theorem that t_varsigma * w
-    breaks, "coset-minimal" or "restricted"; None when it keeps both.  Its
-    alcove point, h varsigma plus w's, pairs > 0 with every simple coroot
-    when coset-minimal, and also < h when restricted (weyl.is_restricted)."""
-    d = w.datum
-    q = add_weights(scale_weight(d.coxeter_number, d.varsigma),
-                    weyl._alcove_point(w))
-    pairs = [pair(q, c) for c in d.simple_coroots]
-    if min(pairs) <= 0:
-        return "coset-minimal"
-    return None if max(pairs) < d.coxeter_number else "restricted"
-
-
-def projective_label_valid(w):
-    """The hypothesis of the index translation: t_varsigma * w restricted."""
-    return _label_violation(w) is None
-
-
-def tilting_to_projective(w):
-    """The index translation between projective covers and tilting modules:
-    w -> w_f * w (an involution on valid labels up to the same check)."""
-    if not projective_label_valid(w):
-        raise ValueError("index violates the restrictedness hypothesis")
-    return weyl.multiply(weyl.longest_element(w.datum), w)
-
-
-def tilting_babyverma_mults(datum, a):
-    """Baby-Verma content of a v = 1 antispherical class: the image under
-    the spherical embedding of the preimage under the central morphism.
-
-    ``a`` maps extended elements to integers.  Raises NotInImageError (from
-    the parabolic module) with a witness when a is not in the image.
-    """
-    from .parabolic import NotInImageError, kl_N
-
-    t_vs_inv = weyl.translation(datum, neg_weight(datum.varsigma))
-    wf = weyl.longest_element(datum)
-    rem = {k: v for k, v in a.items() if v}
-    coeffs = {}
-    guard = 0
-    while rem:
-        guard += 1
-        if guard > 100000:  # pragma: no cover
-            raise NotInImageError("inversion does not terminate")
-        y = max(rem, key=weyl.sort_key)
-        w = weyl.multiply(t_vs_inv, y)
-        if not weyl.is_fWext(w):
-            raise NotInImageError(
-                "class is not in the image: offending term at %s"
-                % weyl.to_text(y)
-            )
-        c = rem[y]
-        coeffs[w] = coeffs.get(w, 0) + c
-        # subtract c * (canonical antispherical column at t_varsigma w) at v=1
-        for z, p in kl_N(weyl.multiply(weyl.translation(datum, datum.varsigma),
-                                       w)).support.items():
-            val = p.evaluate_at_one()
-            if not val:
-                continue
-            nv = rem.get(z, 0) - c * val
-            if nv:
-                rem[z] = nv
-            else:
-                rem.pop(z, None)
-    out = {}
-    for w, c in coeffs.items():
-        for z, p in hecke.kl_basis(weyl.multiply(wf, w)).support.items():
-            val = p.evaluate_at_one()
-            if val:
-                out[z] = out.get(z, 0) + c * val
-    return {k: v for k, v in out.items() if v}

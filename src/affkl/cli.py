@@ -607,7 +607,10 @@ def build_parser():
     pc = sub.add_parser("compute", help="print one basis element or table")
     pc.add_argument("kind", choices=["kl", "asph", "sph", "periodic", "qa",
                                      "simplechar", "projmult", "babyverma",
-                                     "bounds"])
+                                     "bounds"],
+                    help="what to print; simplechar is the dominant part of "
+                         "the character of the G₁T-simple module at "
+                         "--weight")
     _add_common(pc)
     pc.add_argument("--elem", help="group element: 's0 s1' or canonical text")
     pc.add_argument("--alcove", help="alcove label: word or canonical text")

@@ -38,7 +38,6 @@ __all__ = [
     "act",
     "bar",
     "kl_basis",
-    "check_absorption",
     "PCanonicalTable",
     "TableValidationError",
     "builtin_kl_table",
@@ -411,15 +410,6 @@ def _kl_w(u):
         if disk is not None:
             disk.put(datum, u, out)
     return out
-
-
-def check_absorption(w, s):
-    """For l(ws) < l(w): verify KL(w) * KL(s) == (v + v^{-1}) KL(w)."""
-    if weyl.multiply(w, s).length() >= w.length():
-        raise ValueError("absorption needs a right descent")
-    lhs = act(kl_basis(w), kl_basis(s))
-    rhs = kl_basis(w).scale(v + vinv)
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

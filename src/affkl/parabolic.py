@@ -12,8 +12,8 @@ indexed by w is, for a simple generator s:
 These are Soergel's rules (Represent. Theory 1, 1997); the arithmetic and
 the step live in :class:`affkl.hecke.Combination`.  Actions keep the keys
 coset-minimal by construction, so the index set is checked only where keys
-come from outside: the standard vectors, the canonical and table-driven
-columns, and the twisted embedding.
+come from outside: the standard vectors and the canonical and table-driven
+columns.
 
 The module also houses the comparison maps: xi (algebra onto antispherical),
 zeta (spherical into the algebra, injective), the distinguished antispherical
@@ -44,8 +44,6 @@ __all__ = [
     "uN_varsigma",
     "phi",
     "verify_main",
-    "twisted_embed",
-    "twisted_label",
     "NotInImageError",
 ]
 
@@ -254,38 +252,3 @@ def verify_main(table, w):
             weyl.to_text(y): repr(p) for y, p in diff.items_sorted()
         }
     return report
-
-
-# ---------------------------------------------------------------------------
-# twisted spherical embeddings
-
-
-def twisted_embed(datum, lam, support):
-    """Embed a twisted spherical module element into the extended module.
-
-    ``support`` maps W-elements (minimal in their twisted-parabolic coset)
-    to polynomials; the embedding sends the vector at w to the standard
-    vector at omega_lambda^{-1} * w.
-    """
-    omega, _ = weyl.omega_of_weight(datum, lam)
-    oinv = weyl.invert(omega)
-    out = {}
-    for w, p in support.items():
-        if not datum.in_root_lattice(w.trans):
-            raise ValueError("twisted support must lie in the affine group")
-        key = weyl.multiply(oinv, w)
-        if not weyl.is_fWext(key):
-            raise ValueError(
-                "unsupported support: %s does not map to a coset-minimal "
-                "element" % weyl.to_text(w)
-            )
-        out[key] = p
-    return SphElem(datum, out)
-
-
-def twisted_label(datum, lam, alcove):
-    """The extended standard-basis index of the alcove-labelled vector:
-    for A = (lam + A_fund) . w the index is omega_lambda^{-1} * w."""
-    omega, x_lam = weyl.omega_of_weight(datum, lam)
-    w = weyl.multiply(weyl.invert(x_lam), alcove.elem)
-    return weyl.multiply(weyl.invert(omega), w)

@@ -10,6 +10,10 @@ production algorithm, so agreement is evidence rather than tautology:
   unitriangularity), using only standard-basis multiplication.
 * ``asph_bar_fixed_point`` does the same inside the antispherical module.
 * ``sl2_simple_character`` is the closed-form rank-1 simple character.
+* ``simple_characters_by_reciprocity`` inverts the whole reciprocity
+  matrix of the projective rows over a downward-closed weight window at
+  once, exactly over Q, where ``characters.simple_character`` recurses
+  down from one weight.
 * ``bruhat_leq_by_lifting`` is the Bruhat order on W by the lifting
   recursion, with the left descent read off a reduced word and every step
   a group product; ``bruhat_leq_by_stripping`` and
@@ -35,6 +39,9 @@ production algorithm, so agreement is evidence rather than tautology:
 * ``coset_constancy`` checks that the v = 1 values of a column of
   w_f * w are constant on finite cosets, finding each coset's shortest
   element by brute force over W_f.
+* ``act_left_by_products`` is the left action of W_ext on alcoves by a
+  group product and ``set_stabilized_by_conjugation``, where
+  ``alcoves.translate`` moves the translation part of a single element.
 * ``set_stabilized_by_conjugation``, ``conjugated_longest_by_products``,
   ``bruhat_leq_by_stripping`` and ``twisted_finite_by_tau`` build by group
   products what the alcove, Weyl-group and periodic layers read off in
@@ -57,6 +64,7 @@ from fractions import Fraction
 from itertools import product
 
 from affkl import alcoves, characters, hecke, parabolic, periodic, weyl
+from affkl._intlinalg import inverse
 from affkl.hecke import LaurentPoly
 from affkl.rootdata import pair, scale_weight, sub_weights
 
@@ -335,6 +343,12 @@ def set_stabilized_by_conjugation(y):
     return weyl.multiply(weyl.multiply(omega, w), weyl.invert(omega))
 
 
+def act_left_by_products(y, a):
+    """The alcove y(A) for y in W_ext: the alcove of y x, for a = x(A_fund)."""
+    return alcoves.Alcove(set_stabilized_by_conjugation(
+        weyl.multiply(y, a.elem)))
+
+
 def conjugated_longest_by_products(datum, mu):
     """t_mu w_f t_{-mu} as a product of three group elements."""
     t = weyl.translation(datum, mu)
@@ -409,6 +423,45 @@ def twisted_finite_by_tau(datum, mu):
     """[(tau_mu(x), l(x)) for x in W_f], one weyl.tau call per element."""
     return [(weyl.tau(datum, mu, x), x.length())
             for x in weyl.finite_elements(datum)]
+
+
+def simple_characters_by_reciprocity(table, labels, p):
+    """{label: dominant part of ch L-hat(label)} over a weight window.
+
+    Reciprocity gives [Z-hat(c) : L-hat(r)] = (Q-hat(r) : Z-hat(c)), so the
+    projective rows of the labels form a matrix whose exact inverse writes
+    each simple class in baby-Verma classes.  The window must be downward
+    closed: a lower weight of a label's block whose row meets the label,
+    and whose simple module has a dominant weight, must be a label too;
+    WindowError names the missing ones.  The inverse must be integral.
+    """
+    datum = table.datum
+    labels = [tuple(lam) for lam in labels]
+    rows = {lam: characters.projective_multiplicities_weight(table, lam, p)
+            for lam in labels}
+    missing = {
+        x for c in labels if not characters.is_steinberg_type(datum, c, p)
+        for x in characters._lower_block_candidates(datum, c, p)
+        if x not in rows
+        and characters.projective_multiplicities_weight(table, x, p).get(c)
+        and characters._simple_has_dominant_weight(datum, x, p)
+    }
+    if missing:
+        raise characters.WindowError(
+            "window is not downward closed; missing labels: %s"
+            % sorted(missing))
+    # d[j][i] = [Z-hat_j : L-hat_i]; its inverse gives [L-hat_i] in [Z-hat_j]
+    inv = inverse([[rows[r].get(c, 0) for r in labels] for c in labels])
+    out = {}
+    for r, coeffs in zip(labels, inv):
+        char = {}
+        for c, coeff in zip(labels, coeffs):
+            if coeff.denominator != 1:
+                raise ValueError("inverse is not integral")
+            for wt, m in characters.baby_verma_character(datum, c, p).items():
+                char[wt] = char.get(wt, 0) + int(coeff) * m
+        out[r] = characters.dominant_part(datum, char)
+    return out
 
 
 def lower_block_candidates_by_walk(datum, lam, p):

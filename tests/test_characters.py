@@ -1,15 +1,14 @@
 """Character-level consequences: baby Verma multiplicities of projectives,
-simple characters, reciprocity inversion, tilting bookkeeping."""
+simple characters against the closed rank-1 form and the whole-window
+reciprocity inversion, and the hypotheses of the multiplicity theorem."""
 
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from affkl import alcoves, characters as ch, hecke, parabolic, rootdata, weyl
+from affkl import alcoves, characters as ch, hecke, rootdata, weyl
 from oracles import (coset_constancy, lower_block_candidates_by_walk,
-                     sl2_simple_character)
+                     simple_characters_by_reciprocity, sl2_simple_character)
 
 
 # -- the two routes to the baby Verma multiplicities of an alcove -------------
@@ -173,11 +172,11 @@ def test_wrong_dimension_weight_is_refused(a1, a1_table, query):
     (lambda t: ch.simple_character(t, (1, 1), 9), "p must be a prime, got 9"),
     (lambda t: ch.simple_character(t, (1,), 7),
      "weight (1,) has 1 coordinates; the lattice has rank 2"),
-    (lambda t: ch.block_multiplicity_table(t, [(0, 0), (6, 0)], 7),
+    (lambda t: ch.projective_multiplicities_weight(t, (6, 0), 7),
      "weight lies on a p-wall; its block is singular"),
-    (lambda t: ch.block_multiplicity_table(t, [(1, 1)], 9),
+    (lambda t: ch.projective_multiplicities_weight(t, (1, 1), 9),
      "p must be a prime, got 9"),
-    (lambda t: ch.block_multiplicity_table(t, [(0, 0), (1,)], 7),
+    (lambda t: ch.projective_multiplicities_weight(t, (1,), 7),
      "weight (1,) has 1 coordinates; the lattice has rank 2"),
 ], ids=["simple-singular", "simple-non-prime", "simple-wrong-rank",
         "table-singular", "table-non-prime", "table-wrong-rank"])
@@ -187,45 +186,37 @@ def test_character_refusals(c2_table, query, message):
     assert str(err.value) == message
 
 
+def test_table_for_another_prime_is_refused(a1):
+    """A table made for p = 7 answers p = 7 and refuses p = 5, also at the
+    Steinberg weight (4,), whose row needs no column."""
+    table = hecke.PCanonicalTable(a1, 7, "H", builtin=True)
+    assert ch.simple_character(table, (1,), 7) == sl2_simple_character(1, 7)
+    for query in (ch.simple_character, ch.projective_multiplicities_weight):
+        for lam in ((1,), (4,)):
+            with pytest.raises(ValueError) as err:
+                query(table, lam, 5)
+            assert str(err.value) == "the table was made for p = 7, not p = 5"
+
+
 # -- reciprocity ----------------------------------------------------------------
 
 
 def test_reciprocity_inversion_consistent(a1, a1_table):
-    labels = [(0,), (2,), (4,), (6,), (8,)]
-    mt = ch.block_multiplicity_table(a1_table, labels, 5)
-    inv = ch.reciprocity_invert(a1, mt)
-    for lam in labels:
-        acc = {}
-        for (r, c), val in inv.entries.items():
-            if r != lam:
-                continue
-            for wt, m in ch.baby_verma_character(a1, c, 5).items():
-                acc[wt] = acc.get(wt, 0) + val * m
-        assert ch.dominant_part(a1, acc) \
-            == ch.simple_character(a1_table, lam, 5)
-
-
-def test_reciprocity_inverse_is_two_sided(a1, a1_table):
-    labels = [(0,), (2,), (4,), (6,), (8,)]
-    mt = ch.block_multiplicity_table(a1_table, labels, 5)
-    inv = ch.reciprocity_invert(a1, mt)
-    # independent check: the two tables multiply to the identity
-    # (entries (r, c) mean: mt gives [Z-hat_c : L-hat_r], inv gives the
-    # coefficient of [Z-hat_c] in [L-hat_r])
-    for r in labels:
-        for c in labels:
-            total = sum(inv.value(r, mid) * mt.value(c, mid)
-                        for mid in labels)
-            assert total == (1 if r == c else 0)
+    for p in (5, 7, 11):
+        labels = [(lam,) for lam in range(0, 2 * p - 1, 2)]
+        chars = simple_characters_by_reciprocity(a1_table, labels, p)
+        for lam in labels:
+            assert chars[lam] == ch.simple_character(a1_table, lam, p), \
+                (p, lam)
 
 
 def test_reciprocity_window_not_closed(a1, a1_table):
     with pytest.raises(ch.WindowError) as err:
-        ch.block_multiplicity_table(a1_table, [(6,), (8,)], 5)
+        simple_characters_by_reciprocity(a1_table, [(6,), (8,)], 5)
     assert "(0,)" in str(err.value) and "(2,)" in str(err.value)
 
 
-# -- tilting bookkeeping ---------------------------------------------------------
+# -- the hypotheses of the multiplicity theorem -------------------------------
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3",
@@ -249,28 +240,5 @@ def test_label_violation_matches_coset_minimality_and_restrictedness(label):
             else:
                 want = None if weyl.is_restricted(shifted) else "restricted"
             assert ch._label_violation(w) == want, (label, w)
-            assert ch.projective_label_valid(w) == (want is None)
             seen.add(want)
     assert seen == {None, "coset-minimal", "restricted"}
-
-
-def test_tilting_index_translation(a1):
-    w = weyl.translation(a1, (-1,))
-    out = ch.tilting_to_projective(w)
-    assert out == weyl.multiply(weyl.longest_element(a1), w)
-    with pytest.raises(ValueError):
-        ch.tilting_to_projective(weyl.identity(a1))
-
-
-def test_tilting_babyverma_mults_example(a1):
-    om = weyl.omega_elements(a1)[1]
-    a = parabolic.phi(parabolic.sph_standard(om)).specialize_v1()
-    out = ch.tilting_babyverma_mults(a1, a)
-    expected = {weyl.multiply(x, om): 1
-                for x in weyl.finite_elements(a1)}
-    assert out == expected
-
-
-def test_tilting_babyverma_mults_rejects_outside_image(a1):
-    with pytest.raises(parabolic.NotInImageError):
-        ch.tilting_babyverma_mults(a1, {weyl.identity(a1): 1})

@@ -261,6 +261,25 @@ def test_simplechar_refusal_exits_2(capsys, weight, p, message):
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
+def test_simplechar_window_error_names_the_weight_asked(capsys):
+    code, out, err = _run(capsys, "compute", "simplechar", "--type", "A2",
+                          "--weight", "1,1", "--p", "5")
+    assert (code, out) == (2, "")
+    assert err == ("error: simple character at (1, 1) for p = 5: cannot "
+                   "decide whether the simple module at (-3, 3) has dominant "
+                   "weights\n")
+
+
+def test_simplechar_refuses_a_table_for_another_prime(tmp_path, a1, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(hecke.dump_pcanonical(
+        hecke.PCanonicalTable(a1, 7, "H", {}))))
+    code, out, err = _run(capsys, "compute", "simplechar", "--type", "A1",
+                          "--weight", "1", "--p", "5", "--table", str(path))
+    assert (code, out, err) \
+        == (2, "", "error: the table was made for p = 7, not p = 5\n")
+
+
 def _raise_internal(*args):
     raise RuntimeError("injected failure")
 

@@ -131,18 +131,6 @@ def test_verify_main_reports_diff_on_tampered_table(a1, a1_table):
     assert rep["diff"]
 
 
-def test_twisted_label_and_embed(a1):
-    lam = a1.varsigma
-    from affkl import alcoves
-    a = alcoves.translate(alcoves.fundamental_alcove(a1), lam)
-    w = parabolic.twisted_label(a1, lam, a)
-    omega, _ = weyl.omega_of_weight(a1, lam)
-    assert w == weyl.invert(omega)
-    assert weyl.is_fWext(w)
-    emb = parabolic.twisted_embed(a1, lam, {weyl.identity(a1): one})
-    assert set(emb.support) == {w}
-
-
 @pytest.mark.parametrize("kind, column_of", [("N", parabolic.p_N),
                                              ("M", parabolic.p_M)])
 def test_table_column_keys_must_be_coset_minimal(a1, kind, column_of):
