@@ -1,11 +1,13 @@
 """Multiplicity and character combinatorics for the first Frobenius kernel.
 
 Everything here is a numerical shadow: baby Verma modules enter through
-their (easy) characters, projective covers through the multiplicity rows
-computed from a canonical-basis table, and simple modules through the
-unitriangular inversion of those rows.  All operations refuse inputs outside
-their hypotheses (singular weights, non-restricted labels, windows too small
-to triangulate) instead of extrapolating.
+their (easy) characters, projective covers through their multiplicity rows,
+and simple modules through the unitriangular inversion of those rows.  The
+row of a weight is q_A of its block alcove, relabelled by weights: the
+v = 1 specialization of the periodic canonical element that an algebra
+(H-kind) table gives at hat(A).  All operations refuse inputs outside their
+hypotheses (singular weights, N- or M-kind tables, windows too small to
+triangulate) instead of extrapolating.
 
 Weights are integer tuples in lattice coordinates; formal characters are
 maps weight -> multiplicity.
@@ -23,7 +25,6 @@ from .rootdata import add_weights, neg_weight, pair, scale_weight, sub_weights
 __all__ = [
     "q_of_alcove",
     "q_via_coset_sum",
-    "projective_multiplicities",
     "projective_multiplicities_weight",
     "baby_verma_character",
     "simple_character",
@@ -99,6 +100,18 @@ def _check_weight(datum, lam):
         )
 
 
+def _check_query(table, lam, p):
+    """lam as a tuple, once it passes the checks of the two table queries:
+    its length, p >= 2h - 1, p prime, and the table's own prime."""
+    lam = tuple(lam)
+    _check_weight(table.datum, lam)
+    if p < 2 * table.datum.coxeter_number - 1:
+        raise ValueError("needs p >= 2h - 1")
+    _check_prime(p)
+    _check_table_prime(table, p)
+    return lam
+
+
 def is_steinberg_type(datum, lam, p):
     """True iff lam is congruent to (p-1) * varsigma modulo p * X."""
     diff = sub_weights(lam, scale_weight(p - 1, datum.varsigma))
@@ -121,77 +134,26 @@ def block_position(datum, lam, p):
     return base, weyl.invert(y)
 
 
-def _normalizing_shift(datum, w, p):
-    """mu with t_varsigma t_mu w restricted: pairings of w dot_p 0 + p*mu
-    must land in [-p, -1] on every simple coroot."""
-    lam0 = weyl.dot_p(w, (0,) * datum.lattice_rank, p)
-    return datum.weight_with_pairings(
-        [-(pair(lam0, c) // p) - 1 for c in datum.simple_coroots])
-
-
-def _label_violation(w):
-    """The first hypothesis of the multiplicity theorem that t_varsigma * w
-    breaks, "coset-minimal" or "restricted"; None when it keeps both.  Its
-    alcove point, h varsigma plus w's, pairs > 0 with every simple coroot
-    when coset-minimal, and also < h when restricted (weyl.is_restricted)."""
-    d = w.datum
-    q = add_weights(scale_weight(d.coxeter_number, d.varsigma),
-                    weyl._alcove_point(w))
-    pairs = [pair(q, c) for c in d.simple_coroots]
-    if min(pairs) <= 0:
-        return "coset-minimal"
-    return None if max(pairs) < d.coxeter_number else "restricted"
-
-
-def projective_multiplicities(table, w):
-    """Row of baby-Verma multiplicities of the projective cover indexed by w:
-    y -> column-of-w entry at v = 1.
-
-    Requires the shifted index t_varsigma * w to be coset-minimal and
-    restricted (the hypotheses of the multiplicity theorem); refuses
-    anything else rather than extrapolate.
-    """
-    violation = _label_violation(w)
-    if violation:
-        raise ValueError(
-            "index violates the hypothesis: t_varsigma * w is not " + violation)
-    col = table.column(w)
-    return {y: p.evaluate_at_one() for y, p in col.items()
-            if p.evaluate_at_one() != 0}
-
-
 def projective_multiplicities_weight(table, lam, p):
     """Baby-Verma multiplicities of the projective cover of a weight:
     map (weight nu) -> (Q-hat(lam) : Z-hat(nu)).
 
     Steinberg-type weights give the single-entry row {lam: 1} (there the
     projective cover, the baby Verma and the simple module all coincide).
-    Regular weights are normalized by a p X translation into the theorem's
-    hypotheses; other singular weights are refused.  Rows are memoized per
-    (table, lam, p); a table is not changed once loaded.
+    A regular weight lam = w dot_p base, with base in the fundamental
+    p-alcove and w in W (block_position), gets q_A of the alcove
+    A = w(A_fund), its keys B relabelled by the weights B dot_p base; the
+    periodic memo keeps the work.  Other singular weights are refused, and
+    so is an N- or M-kind table ("periodic canonical elements need an
+    algebra table").
     """
+    lam = _check_query(table, lam, p)
     datum = table.datum
-    lam = tuple(lam)
-    _check_weight(datum, lam)
-    if p < 2 * datum.coxeter_number - 1:
-        raise ValueError("needs p >= 2h - 1")
-    _check_prime(p)
-    _check_table_prime(table, p)
     if is_steinberg_type(datum, lam, p):
         return {lam: 1}
-    cache = datum.memo.entry("characters_projective_row")
-    key = (table, lam, p)
-    if key not in cache:
-        base, w = block_position(datum, lam, p)
-        mu = _normalizing_shift(datum, w, p)
-        w2 = weyl.multiply(weyl.translation(datum, mu), w)
-        row = projective_multiplicities(table, w2)
-        shift = scale_weight(p, mu)
-        cache[key] = {
-            sub_weights(weyl.dot_p(y, base, p), shift): val
-            for y, val in row.items()
-        }
-    return dict(cache[key])  # the caller's own copy
+    base, w = block_position(datum, lam, p)
+    return {weyl.dot_p(b.elem, base, p): m
+            for b, m in q_of_alcove(table, alcoves.from_weyl(w)).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +231,7 @@ def simple_character(table, lam, p):
     datum = table.datum
     if isinstance(lam, weyl.ExtElem):
         lam = weyl.dot_p(lam, (0,) * datum.lattice_rank, p)
-    lam = tuple(lam)
-    _check_weight(datum, lam)
-    if p < 2 * datum.coxeter_number - 1:
-        raise ValueError("needs p >= 2h - 1")
-    _check_prime(p)
-    _check_table_prime(table, p)
+    lam = _check_query(table, lam, p)
     steinberg = is_steinberg_type(datum, lam, p)
     if not steinberg and not _is_regular(datum, lam, p):
         raise ValueError("singular non-Steinberg weights are not supported")

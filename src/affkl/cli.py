@@ -57,14 +57,19 @@ def _build_datum(args):
 def _attach_cache(datum):
     cache_dir = os.environ.get("AFFKL_CACHE_DIR")
     if cache_dir:
-        path = os.path.join(
-            cache_dir, "%s-%s.klcache" % (datum.label or "datum",
-                                          datum.datum_hash[:16])
-        )
-        hecke.set_disk_cache(hecke.KLCache(path, datum))
+        path = os.path.join(cache_dir, "%s-%s.klcache" % (
+            datum.label or "datum", datum.datum_hash[:16]))
+        try:
+            hecke.set_disk_cache(hecke.KLCache(path, datum))
+        except OSError as exc:
+            raise ConfigError("cannot use AFFKL_CACHE_DIR %s: %s"
+                              % (cache_dir, exc.strerror or exc))
 
 
 def _build_table(datum, args):
+    """The --table table, after attaching the KL disk cache: only the
+    queries that read a table compute KL columns."""
+    _attach_cache(datum)
     source = getattr(args, "table", None) or "builtin"
     if source == "builtin":
         return hecke.builtin_kl_table(datum)
@@ -265,7 +270,6 @@ def cmd_verify(args):
     if args.max_len < 0:
         raise ConfigError("--max-len must be >= 0, got %d" % args.max_len)
     datum = _build_datum(args)
-    _attach_cache(datum)
     table = _build_table(datum, args)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     report = _base_report(datum, table)
@@ -298,7 +302,6 @@ def _weights_sorted(datum, char):
 
 def cmd_compute(args):
     datum = _build_datum(args)
-    _attach_cache(datum)
     kind = args.kind
     report = _base_report(datum)
     report["kind"] = kind
@@ -641,7 +644,9 @@ def main(argv=None):
     except (hecke.TableValidationError, parabolic.NotInImageError,
             periodic.PositivityWindowError, characters.WindowError,
             ValueError, KeyError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        # str() of a KeyError is the repr of its argument; print the text
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print("error: %s" % msg, file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - never let a traceback exit 1
         print("internal error: %s: %s" % (type(exc).__name__, exc),

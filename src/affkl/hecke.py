@@ -550,13 +550,12 @@ class PCanonicalTable:
     instance is lazily backed by the Kazhdan-Lusztig basis.
     """
 
-    def __init__(self, datum, p, basis_kind, entries=None, builtin=False, label=""):
+    def __init__(self, datum, p, basis_kind, entries=None, builtin=False):
         self.datum = datum
         self.p = p
         self.basis_kind = basis_kind
         self.entries = dict(entries or {})
         self.builtin = builtin
-        self.label = label
 
     def has_column(self, w):
         return self.builtin or w in self.entries
@@ -602,8 +601,7 @@ def builtin_kl_table(datum, basis_kind="H"):
     datum and basis kind, so the query memos keyed by table hit."""
     return datum.memo.entry(
         "builtin_kl_table_" + basis_kind,
-        lambda: PCanonicalTable(datum, "infinity", basis_kind, builtin=True,
-                                label="builtin-kl"))
+        lambda: PCanonicalTable(datum, "infinity", basis_kind, builtin=True))
 
 
 def validate_table(table):
@@ -698,8 +696,7 @@ def table_from_json(doc, datum):
                 raise TableValidationError(
                     "the entry at (%s, %s) is not a list of [exponent, "
                     "coefficient] pairs" % (yt, wt)) from None
-    table = PCanonicalTable(datum, p, basis, entries,
-                            label=doc.get("label", "file"))
+    table = PCanonicalTable(datum, p, basis, entries)
     validate_table(table)
     return table
 

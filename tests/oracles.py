@@ -51,6 +51,11 @@ production algorithm, so agreement is evidence rather than tautology:
   twisted-coset tops of a column and check the coset-minimality of a
   column index by products and lengths, where the periodic layer reads
   signs off alcove points.
+* ``projective_row_by_column`` reads the projective row of a weight off
+  one table column by the multiplicity theorem, after a p X translation
+  into its hypotheses (checked by ``label_violation`` on the alcove point),
+  where ``characters.projective_multiplicities_weight`` relabels q_A of
+  the weight's block alcove, a periodic canonical element.
 * ``lower_block_candidates_by_walk`` scans the box below a weight and keeps
   the points whose alcove walk ends at the weight's own base weight.
 * ``is_restricted_by_dot_action`` tests restrictedness by the dilated dot
@@ -66,7 +71,7 @@ from itertools import product
 from affkl import alcoves, characters, hecke, parabolic, periodic, weyl
 from affkl._intlinalg import inverse
 from affkl.hecke import LaurentPoly
-from affkl.rootdata import pair, scale_weight, sub_weights
+from affkl.rootdata import add_weights, pair, scale_weight, sub_weights
 
 
 def bfs_lengths(datum, max_len):
@@ -462,6 +467,48 @@ def simple_characters_by_reciprocity(table, labels, p):
                 char[wt] = char.get(wt, 0) + int(coeff) * m
         out[r] = characters.dominant_part(datum, char)
     return out
+
+
+def label_violation(w):
+    """The first hypothesis of the multiplicity theorem that t_varsigma * w
+    breaks, "coset-minimal" or "restricted"; None when it keeps both.  Its
+    alcove point, h varsigma plus w's, pairs > 0 with every simple coroot
+    when coset-minimal, and also < h when restricted (weyl.is_restricted)."""
+    d = w.datum
+    q = add_weights(scale_weight(d.coxeter_number, d.varsigma),
+                    weyl._alcove_point(w))
+    pairs = [pair(q, c) for c in d.simple_coroots]
+    if min(pairs) <= 0:
+        return "coset-minimal"
+    return None if max(pairs) < d.coxeter_number else "restricted"
+
+
+def projective_row_by_column(table, lam, p):
+    """{nu: (Q-hat(lam) : Z-hat(nu))} by the multiplicity theorem: for w
+    with t_varsigma * w coset-minimal and restricted, the row of
+    w dot_p base is y dot_p base -> (column of w at y)(1).  A regular lam =
+    w dot_p base (block_position) is moved there by the translation t_mu
+    that puts the pairings of w dot_p 0 + p mu in [-p, -1], and the row is
+    moved back by -p mu.  Steinberg-type weights give {lam: 1}."""
+    datum = table.datum
+    lam = tuple(lam)
+    if characters.is_steinberg_type(datum, lam, p):
+        return {lam: 1}
+    base, w = characters.block_position(datum, lam, p)
+    lam0 = weyl.dot_p(w, (0,) * datum.lattice_rank, p)
+    mu = datum.weight_with_pairings(
+        [-(pair(lam0, c) // p) - 1 for c in datum.simple_coroots])
+    w = weyl.multiply(weyl.translation(datum, mu), w)
+    violation = label_violation(w)
+    if violation:
+        raise ValueError("t_varsigma * w is not " + violation)
+    shift = scale_weight(p, mu)
+    row = {}
+    for y, poly in table.column(w).items():
+        val = poly.evaluate_at_one()
+        if val:
+            row[sub_weights(weyl.dot_p(y, base, p), shift)] = val
+    return row
 
 
 def lower_block_candidates_by_walk(datum, lam, p):

@@ -1,13 +1,15 @@
-"""Character-level consequences: baby Verma multiplicities of projectives,
-simple characters against the closed rank-1 form and the whole-window
-reciprocity inversion, and the hypotheses of the multiplicity theorem."""
+"""Character-level consequences: baby Verma multiplicities of projectives
+against the multiplicity theorem's column route, simple characters against
+the closed rank-1 form and the whole-window reciprocity inversion, and the
+hypotheses of the multiplicity theorem."""
 
 from itertools import product
 
 import pytest
 
 from affkl import alcoves, characters as ch, hecke, rootdata, weyl
-from oracles import (coset_constancy, lower_block_candidates_by_walk,
+from oracles import (coset_constancy, label_violation,
+                     lower_block_candidates_by_walk, projective_row_by_column,
                      simple_characters_by_reciprocity, sl2_simple_character)
 
 
@@ -15,10 +17,11 @@ from oracles import (coset_constancy, lower_block_candidates_by_walk,
 
 
 def test_q_routes_agree(a1, a1_table, a2, a2_table, c2, c2_table):
-    g2 = rootdata.build_root_datum("G2")
-    for d, table, bound in ((a1, a1_table, 6), (a2, a2_table, 4),
-                            (c2, c2_table, 4),
-                            (g2, hecke.builtin_kl_table(g2), 4)):
+    cases = [(a1, a1_table, 6), (a2, a2_table, 4), (c2, c2_table, 4)]
+    for label, bound in (("G2", 4), ("A3", 3), ("B2", 4)):
+        d = rootdata.build_root_datum(label)
+        cases.append((d, hecke.builtin_kl_table(d), bound))
+    for d, table, bound in cases:
         for a in alcoves.enumerate_alcoves(d, bound):
             assert ch.q_of_alcove(table, a) == ch.q_via_coset_sum(table, a), a
 
@@ -101,14 +104,33 @@ def test_projective_dimension_sums(a1, a1_table):
         assert dim == 10
 
 
-def test_element_route_requires_hypotheses(a1, a1_table):
-    with pytest.raises(ValueError):
-        ch.projective_multiplicities(a1_table, weyl.identity(a1))
-    w = weyl.translation(a1, (-1,))
-    row = ch.projective_multiplicities(a1_table, w)
-    lam = weyl.dot_p(w, (0,), 5)
-    weight_row = ch.projective_multiplicities_weight(a1_table, lam, 5)
-    assert weight_row == {weyl.dot_p(y, (0,), 5): m for y, m in row.items()}
+@pytest.mark.parametrize("label, p, lo, hi", [
+    ("A1", 5, -10, 15), ("A1", 7, -14, 21), ("A1", 11, -22, 33),
+    ("A1", 13, -26, 39), ("A2", 5, -5, 10), ("A2", 7, -7, 14),
+    ("B2", 7, -7, 14), ("C2", 7, -7, 14), ("G2", 11, 0, 11), ("A3", 7, 0, 7),
+])
+def test_rows_match_column_route(label, p, lo, hi):
+    """The row read off q_A of the block alcove equals the row of the
+    multiplicity theorem, one table column at a p X-shifted label, on every
+    regular or Steinberg-type weight of the window [lo, hi)^rank."""
+    d = rootdata.build_root_datum(label)
+    table = hecke.builtin_kl_table(d)
+    seen = 0
+    for lam in product(range(lo, hi), repeat=d.lattice_rank):
+        if not (ch._is_regular(d, lam, p) or ch.is_steinberg_type(d, lam, p)):
+            continue
+        assert ch.projective_multiplicities_weight(table, lam, p) \
+            == projective_row_by_column(table, lam, p), lam
+        seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize("kind", ["N", "M"])
+def test_rows_need_an_algebra_table(a1, kind):
+    with pytest.raises(ValueError) as err:
+        ch.projective_multiplicities_weight(
+            hecke.builtin_kl_table(a1, kind), (1,), 5)
+    assert str(err.value) == "periodic canonical elements need an algebra table"
 
 
 def test_singular_non_steinberg_refused(c2, c2_table):
@@ -239,6 +261,6 @@ def test_label_violation_matches_coset_minimality_and_restrictedness(label):
                 want = "coset-minimal"
             else:
                 want = None if weyl.is_restricted(shifted) else "restricted"
-            assert ch._label_violation(w) == want, (label, w)
+            assert label_violation(w) == want, (label, w)
             seen.add(want)
     assert seen == {None, "coset-minimal", "restricted"}

@@ -280,6 +280,41 @@ def test_simplechar_refuses_a_table_for_another_prime(tmp_path, a1, capsys):
         == (2, "", "error: the table was made for p = 7, not p = 5\n")
 
 
+@pytest.mark.parametrize("argv", [("kl", "--elem", "s0"),
+                                  ("projmult", "--weight", "1", "--p", "5")])
+def test_missing_column_is_printed_without_quotes(tmp_path, a1, capsys, argv):
+    """A table without the column asked exits 2 with the plain message of
+    the KeyError; projmult names the periodic column of its block alcove."""
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(hecke.dump_pcanonical(
+        hecke.PCanonicalTable(a1, 5, "H", {}))))
+    code, out, err = _run(capsys, "compute", argv[0], "--type", "A1",
+                          *argv[1:], "--table", str(path))
+    assert (code, out, err) \
+        == (2, "", "error: table has no column for w: s1 | t: (-2)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--type", "C2"),
+    ("babyverma", "--type", "A1", "--weight", "1", "--p", "5")])
+def test_queries_without_a_table_open_no_kl_cache(tmp_path, monkeypatch,
+                                                  capsys, argv):
+    for cache_dir in (tmp_path / "missing", tmp_path):
+        monkeypatch.setenv("AFFKL_CACHE_DIR", str(cache_dir))
+        assert _run(capsys, "compute", *argv)[0] == 0
+    assert not list(tmp_path.iterdir())
+
+
+def test_missing_kl_cache_directory_exits_2(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("AFFKL_CACHE_DIR", str(missing))
+    code, out, err = _run(capsys, "compute", "kl", "--type", "A1",
+                          "--elem", "s0")
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot use AFFKL_CACHE_DIR %s: No such file or "
+                   "directory\n" % missing)
+
+
 def _raise_internal(*args):
     raise RuntimeError("injected failure")
 
