@@ -24,7 +24,6 @@ __all__ = [
     "Alcove",
     "fundamental_alcove",
     "from_weyl",
-    "to_weyl",
     "act_right",
     "translate",
     "is_dominant",
@@ -64,10 +63,6 @@ def from_weyl(x):
     if not x.datum.in_root_lattice(x.trans):
         raise ValueError("alcoves are labelled by the non-extended group")
     return Alcove(x)
-
-
-def to_weyl(a):
-    return a.elem
 
 
 def fundamental_alcove(datum):

@@ -56,7 +56,7 @@ def q_via_coset_sum(table, a):
     datum = a.datum
     nu = alcoves.box_rep_below(a)
     a0 = alcoves.translate(a, neg_weight(nu))
-    x0 = alcoves.to_weyl(a0)
+    x0 = a0.elem
     wf = weyl.longest_element(datum)
     w = weyl.multiply(weyl.invert(wf), x0)
     if not weyl.is_fW(w):
@@ -115,7 +115,7 @@ def _check_query(table, lam, p):
 def is_steinberg_type(datum, lam, p):
     """True iff lam is congruent to (p-1) * varsigma modulo p * X."""
     diff = sub_weights(lam, scale_weight(p - 1, datum.varsigma))
-    return datum.weight_in_lattice_p_multiple(diff, p) is not None
+    return all(c % p == 0 for c in diff)
 
 
 def _is_regular(datum, lam, p):
@@ -219,9 +219,8 @@ def _simple_has_dominant_weight(datum, lam, p):
 def simple_character(table, lam, p):
     """Dominant part of the character of the G₁T-simple module L-hat(lam).
 
-    Accepts a weight tuple or an extended-group element (read as the label
-    w dot_p 0).  Implements the unitriangular inversion of the projective
-    rows: ch L-hat(lam) = ch Z-hat(lam) - sum over lower block weights x of
+    Implements the unitriangular inversion of the projective rows:
+    ch L-hat(lam) = ch Z-hat(lam) - sum over lower block weights x of
     (Q-hat(x) : Z-hat(lam)) * ch L-hat(x), restricted pointwise to dominant
     weights; corrections whose simple module has no dominant weight drop out.
     For a non-restricted lam this is in general not the character of the
@@ -229,8 +228,6 @@ def simple_character(table, lam, p):
     a table is not changed once loaded.
     """
     datum = table.datum
-    if isinstance(lam, weyl.ExtElem):
-        lam = weyl.dot_p(lam, (0,) * datum.lattice_rank, p)
     lam = _check_query(table, lam, p)
     steinberg = is_steinberg_type(datum, lam, p)
     if not steinberg and not _is_regular(datum, lam, p):

@@ -5,7 +5,7 @@
 * :class:`Combination`: the sparse "key -> Laurent polynomial" arithmetic
   shared by the algebra and its modules, with the generator step of
   Soergel's rules, and :func:`act_standard`, the one walker along a reduced
-  word that every right action and the bar involution fold that step over.
+  word that every right action folds that step over.
 * :class:`HeckeElem`: finitely supported Z[v, v^{-1}]-combinations of the
   standard basis (H_w), with the quadratic relation
   (H_s + v)(H_s - v^{-1}) = 0 and H_x H_y = H_{xy} when lengths add.
@@ -36,7 +36,6 @@ __all__ = [
     "standard",
     "act_standard",
     "act",
-    "bar",
     "kl_basis",
     "PCanonicalTable",
     "TableValidationError",
@@ -268,15 +267,14 @@ class Combination:
                           for k, p in self.items_sorted())
 
 
-def act_standard(x, y, step=None):
+def act_standard(x, y):
     """x . H_y for one element y of W_ext.
 
     With y = omega u (l(omega) = 0, u in W), H_y = H_{u'} H_omega for
-    u' = omega u omega^{-1}: fold ``step`` (default: the generator step of
-    x's type) over a reduced word of u', then shift every key right by
-    omega.
+    u' = omega u omega^{-1}: fold the generator step of x's type over a
+    reduced word of u', then shift every key right by omega.
     """
-    step = step or type(x).step
+    step = type(x).step
     omega, u = weyl.omega_decompose(y)
     uprime = weyl.multiply(weyl.multiply(omega, u), weyl.invert(omega))
     gens = weyl.all_generators(x.datum)
@@ -315,27 +313,6 @@ def unit(datum):
 
 def standard(w):
     return HeckeElem(w.datum, {w: one})
-
-
-def _bar_step(x, s):
-    # bar(H_s) = H_s^{-1} = H_s + (v - v^{-1})
-    return x.step(s) + x.scale(v - vinv)
-
-
-def _bar_standard(datum, w):
-    """bar(H_w) = (H_{w^{-1}})^{-1}, memoized; bar(H_omega) = H_omega."""
-    cache = datum.memo.entry("bar_standard")
-    if w not in cache:
-        cache[w] = act_standard(unit(datum), w, _bar_step)
-    return cache[w]
-
-
-def bar(a):
-    """The bar involution on the Hecke algebra."""
-    out = HeckeElem(a.datum)
-    for w, p in a.support.items():
-        out = out + _bar_standard(a.datum, w).scale(p.bar())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +534,14 @@ class PCanonicalTable:
         self.entries = dict(entries or {})
         self.builtin = builtin
 
-    def has_column(self, w):
-        return self.builtin or w in self.entries
-
     def column(self, w):
         """The column of w as a map y -> LaurentPoly."""
         if self.builtin:
             if self.basis_kind == "H":
                 return dict(kl_basis(w).support)
             from . import parabolic
-            kl = parabolic.kl_N if self.basis_kind == "N" else parabolic.kl_M
-            return dict(kl(w).support)
+            p_kind = parabolic.p_N if self.basis_kind == "N" else parabolic.p_M
+            return dict(p_kind(builtin_kl_table(self.datum), w).support)
         if w not in self.entries:
             raise KeyError("table has no column for %s" % weyl.to_text(w))
         return dict(self.entries[w])
@@ -582,15 +556,10 @@ class PCanonicalTable:
         if self.builtin:
             payload = "builtin:%s:%s:%s" % (self.datum.datum_hash, self.p, self.basis_kind)
             return hashlib.sha256(payload.encode()).hexdigest()
-        body = {
-            weyl.to_text(w): {
-                weyl.to_text(y): p.to_pairs() for y, p in col.items()
-            }
-            for w, col in self.entries.items()
-        }
         payload = json.dumps(
             {"datum": self.datum.datum_hash, "p": self.p,
-             "basis": self.basis_kind, "entries": body},
+             "basis": self.basis_kind,
+             "entries": dump_pcanonical(self)["entries"]},
             sort_keys=True, separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode()).hexdigest()

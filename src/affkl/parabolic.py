@@ -12,8 +12,7 @@ indexed by w is, for a simple generator s:
 These are Soergel's rules (Represent. Theory 1, 1997); the arithmetic and
 the step live in :class:`affkl.hecke.Combination`.  Actions keep the keys
 coset-minimal by construction, so the index set is checked only where keys
-come from outside: the standard vectors and the canonical and table-driven
-columns.
+come from outside: the standard vectors and the table-driven columns.
 
 The module also houses the comparison maps: xi (algebra onto antispherical),
 zeta (spherical into the algebra, injective), the distinguished antispherical
@@ -32,13 +31,9 @@ __all__ = [
     "SphElem",
     "asph_standard",
     "sph_standard",
-    "asph_act",
-    "sph_act",
     "xi",
     "zeta",
     "zeta_preimage",
-    "kl_N",
-    "kl_M",
     "p_N",
     "p_M",
     "uN_varsigma",
@@ -92,18 +87,6 @@ def sph_standard(w):
     return SphElem(w.datum, {w: one})
 
 
-def asph_act(x, h):
-    if not isinstance(x, AsphElem):
-        raise TypeError("asph_act needs an antispherical element")
-    return hecke.act(x, h)
-
-
-def sph_act(x, h):
-    if not isinstance(x, SphElem):
-        raise TypeError("sph_act needs a spherical element")
-    return hecke.act(x, h)
-
-
 # ---------------------------------------------------------------------------
 # comparison maps
 
@@ -149,23 +132,9 @@ def zeta_preimage(h):
 # canonical bases
 
 
-def kl_N(w):
-    """Canonical antispherical element: xi of the algebra KL element."""
-    if not weyl.is_fWext(w):
-        raise ValueError("index must be coset-minimal")
-    return xi(hecke.kl_basis(w))
-
-
-def kl_M(w):
-    """Canonical spherical element, via the zeta preimage of KL(w_f * w)."""
-    if not weyl.is_fWext(w):
-        raise ValueError("index must be coset-minimal")
-    wf = weyl.longest_element(w.datum)
-    return zeta_preimage(hecke.kl_basis(weyl.multiply(wf, w)))
-
-
 def p_N(table, w):
-    """Table-driven antispherical canonical element."""
+    """Table-driven antispherical canonical element; on the built-in table,
+    the Kazhdan-Lusztig one, xi(KL(w))."""
     if not weyl.is_fWext(w):
         raise ValueError("index must be coset-minimal")
     if table.basis_kind == "N":
@@ -178,7 +147,8 @@ def p_N(table, w):
 
 
 def p_M(table, w):
-    """Table-driven spherical canonical element."""
+    """Table-driven spherical canonical element; on the built-in table, the
+    Kazhdan-Lusztig one, the zeta preimage of KL(w_f * w)."""
     if not weyl.is_fWext(w):
         raise ValueError("index must be coset-minimal")
     if table.basis_kind == "M":
@@ -204,7 +174,7 @@ def uN_varsigma(datum, omega=None):
     if omega.length() != 0:
         raise ValueError("twist must have length zero")
     t_vs = weyl.translation(datum, datum.varsigma)
-    elem = kl_N(weyl.multiply(t_vs, omega))
+    elem = p_N(hecke.builtin_kl_table(datum), weyl.multiply(t_vs, omega))
     expected = {}
     for z in weyl.finite_elements(datum):
         key = weyl.multiply(weyl.multiply(t_vs, z), omega)

@@ -282,12 +282,8 @@ def p_canonical_P(table, alcove):
         base = alcoves.Alcove(weyl.from_finite_matrix(x.datum, x.fin))
         elem = cache.get((table, base))
         if elem is None:
-            idx = _column_index(base)
-            if not table.has_column(idx):
-                raise KeyError("table has no column for %s"
-                               % weyl.to_text(idx))
-            elem = cache[table, base] = _lusztig_formula(base,
-                                                         table.column(idx))
+            elem = cache[table, base] = _lusztig_formula(
+                base, table.column(_column_index(base)))
         lam = x.apply((0,) * x.datum.lattice_rank)
         if any(lam):
             elem = cache[table, alcove] = per_translate(elem, lam)

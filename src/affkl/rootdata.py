@@ -236,12 +236,6 @@ class RootDatum:
         targets[i]."""
         return tuple(pair(row, targets) for row in self._coroot_inverse)
 
-    def weight_in_lattice_p_multiple(self, weight, p):
-        """Return mu with weight == p * mu if one exists in X, else None."""
-        if all(v % p == 0 for v in weight):
-            return tuple(v // p for v in weight)
-        return None
-
     @property
     def datum_hash(self):
         if self._hash_cache is None:

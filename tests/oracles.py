@@ -5,6 +5,9 @@ production algorithm, so agreement is evidence rather than tautology:
 
 * ``bfs_lengths`` measures word length by breadth-first search over the
   generating set, never consulting the closed length formula.
+* ``bar`` is the bar involution of the Hecke algebra, by products of the
+  inverted generators bar(H_s) = H_s + (v - v^{-1}) in the algebra; the
+  library computes no bar images.
 * ``kl_bar_fixed_point`` solves for the canonical basis directly from its
   defining fixed-point property (bar-invariance + positive-degree
   unitriangularity), using only standard-basis multiplication.
@@ -91,6 +94,39 @@ def bfs_lengths(datum, max_len):
     return depth
 
 
+# (datum, w) -> bar(H_w); a cache of values fixed by their key, so no test
+# can change what another reads
+_BAR_STANDARD = {}
+
+
+def _bar_standard(datum, w):
+    """bar(H_w) = H_omega bar(H_{s_1}) ... bar(H_{s_k}) for w = omega u and
+    a reduced word s_1 ... s_k of u, memoized per standard element along
+    the word."""
+    got = _BAR_STANDARD.get((datum, w))
+    if got is None:
+        omega, u = weyl.omega_decompose(w)
+        gens = weyl.all_generators(datum)
+        got, prefix = hecke.standard(omega), omega
+        for i in weyl.reduced_word(u):
+            prefix = weyl.multiply(prefix, gens[i])
+            if (datum, prefix) not in _BAR_STANDARD:
+                bar_s = hecke.standard(gens[i]) \
+                    + hecke.unit(datum).scale(hecke.v - hecke.vinv)
+                _BAR_STANDARD[datum, prefix] = hecke.act(got, bar_s)
+            got = _BAR_STANDARD[datum, prefix]
+    return got
+
+
+def bar(a):
+    """The bar involution on the Hecke algebra: bar(sum p_w H_w) =
+    sum bar(p_w) bar(H_w)."""
+    out = hecke.HeckeElem(a.datum)
+    for w, p in a.support.items():
+        out = out + _bar_standard(a.datum, w).scale(p.bar())
+    return out
+
+
 def _positive_part(poly):
     return LaurentPoly({e: c for e, c in poly.coeffs.items() if e > 0})
 
@@ -117,7 +153,7 @@ def kl_bar_fixed_point(datum, w, _memo=None):
           if bruhat_leq_by_lifting(y, w)]
     ys.sort(key=lambda y: -y.length())
     assert ys[0] == w
-    bar_std = {y: hecke.bar(hecke.standard(y)) for y in ys}
+    bar_std = {y: bar(hecke.standard(y)) for y in ys}
     h = {w: LaurentPoly.term(1)}
     for y in ys[1:]:
         rhs = LaurentPoly()
@@ -144,7 +180,7 @@ def asph_bar_fixed_point(datum, w):
           if bruhat_leq_by_stripping(y, w)]
     ys.sort(key=lambda y: -y.length())
     assert ys[0] == w
-    bar_std = {y: parabolic.xi(hecke.bar(hecke.standard(y))) for y in ys}
+    bar_std = {y: parabolic.xi(bar(hecke.standard(y))) for y in ys}
     h = {w: LaurentPoly.term(1)}
     for y in ys[1:]:
         rhs = LaurentPoly()

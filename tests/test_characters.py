@@ -164,13 +164,6 @@ def test_simple_character_at_large_p(a1, a1_table):
         == sl2_simple_character(3, 10007)
 
 
-def test_simple_character_accepts_element_label(a1, a1_table):
-    w = weyl.translation(a1, (-1,))
-    lam = weyl.dot_p(w, (0,), 5)
-    assert ch.simple_character(a1_table, w, 5) \
-        == ch.simple_character(a1_table, lam, 5)
-
-
 def test_simple_character_refuses_small_p(a1, a1_table):
     with pytest.raises(ValueError):
         ch.simple_character(a1_table, (0,), 2)

@@ -52,7 +52,7 @@ def test_invalid_datum_exits_2(capsys):
     assert "Q9" in err
 
 
-@pytest.mark.parametrize("label", ["A", "Ax", "3"])
+@pytest.mark.parametrize("label", ["A", "Ax", "3", "Q9~"])
 def test_malformed_type_exits_2(capsys, label):
     code, out, err = _run(capsys, "compute", "bounds", "--type", label)
     assert code == 2 and out == ""
@@ -259,6 +259,22 @@ def test_simplechar_refusal_exits_2(capsys, weight, p, message):
     code, out, err = _run(capsys, "compute", "simplechar", "--type", "C2",
                           "--weight", weight, "--p", p)
     assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("compute", "babyverma", "--type", "A3", "--weight", "1.5,2", "--p", "7"),
+     "1.5,2"),
+    (("compute", "babyverma", "--type", "A1", "--weight", "x-3y", "--p", "5"),
+     "x-3y"),
+    (("draw", "--type", "A2", "--shade", "box(1,,0)"), "1,,0"),
+])
+def test_weight_that_is_not_a_list_of_integers_exits_2(capsys, argv, text):
+    # each text once read as the integers found in it: (1, 5, 2), (-3)
+    # and (1, 0)
+    code, out, err = _run(capsys, *argv)
+    assert (code, out, err) == (
+        2, "", "error: weight %r is not integers separated by commas or "
+        "spaces\n" % text)
 
 
 def test_simplechar_window_error_names_the_weight_asked(capsys):

@@ -3,18 +3,19 @@ table validation, and the binary disk cache."""
 
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affkl import hecke, rootdata, weyl
+from affkl import hecke, parabolic, rootdata, weyl
 from affkl.cli import main
 from affkl.hecke import (
     KLCache, LaurentPoly, PCanonicalTable, TableValidationError,
     builtin_kl_table, one, v, vinv,
 )
-from oracles import box_normalizer, kl_bar_fixed_point
+from oracles import bar, box_normalizer, kl_bar_fixed_point
 
 poly_strategy = st.builds(
     lambda pairs: LaurentPoly(dict(pairs)),
@@ -84,7 +85,7 @@ def test_standard_basis_multiplication_is_associative(a2):
 def test_bar_fixes_generators_shifted(a1):
     s = weyl.all_generators(a1)[0]
     hs = hecke.standard(s)
-    assert hecke.bar(hs) == hs + hecke.unit(a1).scale(v - vinv)
+    assert bar(hs) == hs + hecke.unit(a1).scale(v - vinv)
 
 
 @settings(max_examples=25, deadline=None)
@@ -93,7 +94,7 @@ def test_bar_is_ring_involution(a1, data):
     elems = weyl.enumerate_W(a1, 4)
     x = data.draw(st.sampled_from(elems))
     hx = hecke.standard(x)
-    assert hecke.bar(hecke.bar(hx)) == hx
+    assert bar(bar(hx)) == hx
 
 
 # -- canonical basis ---------------------------------------------------------
@@ -131,7 +132,7 @@ def test_kl_matches_bar_fixed_point_oracle(a1, c2):
 def test_kl_is_bar_invariant(c2):
     for w in weyl.enumerate_W(c2, 4):
         el = hecke.kl_basis(w)
-        assert hecke.bar(el) == el
+        assert bar(el) == el
 
 
 def test_extended_kl_is_twist_shift(a1):
@@ -172,6 +173,40 @@ def test_builtin_table_roundtrips_through_json(a1):
     hecke.validate_table(again)
     doc["label"] = "file"  # a key no reader uses: loaded and ignored
     assert hecke.table_from_json(doc, a1).table_hash == again.table_hash
+
+
+@pytest.mark.parametrize("label, bound", [("A1", 6), ("A2", 3), ("C2", 3)])
+@pytest.mark.parametrize("kind, column_of", [("N", parabolic.p_N),
+                                             ("M", parabolic.p_M)])
+def test_module_tables_are_validated_against_their_canonical_family(
+        label, bound, kind, column_of):
+    d = rootdata.build_root_datum(label)
+    builtin = builtin_kl_table(d)
+    cols = {w: dict(column_of(builtin, w).support)
+            for w in weyl.enumerate_fWext(d, bound)}
+    doc = hecke.dump_pcanonical(PCanonicalTable(d, 7, kind, cols))
+    assert hecke.table_from_json(doc, d).entries == cols
+    # negate one coefficient below the diagonal of the longest column
+    top = max(cols, key=weyl.sort_key)
+    y = max((k for k in cols[top] if k != top), key=weyl.sort_key)
+    doc["entries"][weyl.to_text(top)][weyl.to_text(y)] = \
+        (-cols[top][y]).to_pairs()
+    with pytest.raises(TableValidationError,
+                       match=re.escape("self-duality fails at (%s, %s)"
+                                       % (weyl.to_text(y), weyl.to_text(top)))):
+        hecke.table_from_json(doc, d)
+
+
+def test_table_hashes_are_stable(a1, a1_table):
+    h = PCanonicalTable(a1, "infinity", "H", {
+        w: a1_table.column(w) for w in weyl.enumerate_W(a1, 3)})
+    n = PCanonicalTable(a1, 5, "N", {
+        w: dict(parabolic.p_N(a1_table, w).support)
+        for w in weyl.enumerate_fWext(a1, 4)})
+    assert h.table_hash \
+        == "4d032bc59dc877b6e56f9630037cf941705b35d123c7448c2d9dd5cc763ef353"
+    assert n.table_hash \
+        == "24a6efb18755e616edf70bdd98a0ec34a7d4be8845dfd7d655ab0c578e0eaad2"
 
 
 def test_table_rejects_wrong_datum_hash(a1, a2):

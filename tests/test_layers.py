@@ -88,3 +88,60 @@ def test_only_intlinalg_and_cli_import_fractions():
             if "fractions" in modules:
                 importers.add(name)
     assert importers <= {"_intlinalg.py", "cli.py"}, importers
+
+
+# Each module imports only the layers below it; modules of one rank do not
+# import each other.
+LAYER_RANK = {"_intlinalg": 0, "rootdata": 1, "weyl": 2, "alcoves": 3,
+              "hecke": 3, "parabolic": 4, "periodic": 4, "characters": 5,
+              "cli": 6}
+# (module, enclosing function, imported layer): the built-in N- and M-kind
+# tables read their columns through the module maps.
+UPWARD_IMPORTS_ALLOWED = {("hecke", "PCanonicalTable.column", "parabolic")}
+
+
+def _package_imports(tree):
+    """(enclosing qualified name, imported affkl module) for every import
+    of the package in a module's syntax tree."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.ImportFrom) and child.level:
+                names = ([child.module.split(".")[0]] if child.module
+                         else [alias.name for alias in child.names])
+            elif isinstance(child, ast.ImportFrom) \
+                    and (child.module or "").startswith("affkl."):
+                names = [child.module.split(".")[1]]
+            elif isinstance(child, ast.Import):
+                names = [alias.name.split(".")[1] for alias in child.names
+                         if alias.name.startswith("affkl.")]
+            else:
+                names = []
+            found.extend((".".join(scope), name) for name in names
+                         if not name.startswith("__"))  # e.g. __version__
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    src = os.path.join(ROOT, "src", "affkl")
+    upward = set()
+    for name in sorted(os.listdir(src)):
+        layer = name[:-3]
+        if not name.endswith(".py") or layer == "__init__":
+            continue
+        assert layer in LAYER_RANK, "module %s has no layer rank" % layer
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for scope, target in _package_imports(tree):
+            assert target in LAYER_RANK, (layer, target)
+            if LAYER_RANK[target] >= LAYER_RANK[layer]:
+                upward.add((layer, scope, target))
+    assert upward <= UPWARD_IMPORTS_ALLOWED, upward - UPWARD_IMPORTS_ALLOWED

@@ -7,6 +7,7 @@ column or with None."""
 
 import json
 import os
+import re
 import struct
 import tempfile
 import zlib
@@ -64,6 +65,10 @@ def test_parse_weight_parses_or_refuses(label, text):
         return
     assert len(lam) == d.lattice_rank
     assert all(isinstance(c, int) for c in lam)
+    # an accepted text is integer tokens between separators and parentheses
+    tokens = [t for t in re.split(r"[\s,()]+", text) if t]
+    assert all(re.fullmatch(r"-?\d+", t) for t in tokens), text
+    assert tuple(int(t) for t in tokens) == lam
 
 
 # -- JSON documents ------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_canonical_fund_is_finite_orbit(a1, c2):
         el = periodic.canonical_P_fund(d, (0,) * d.lattice_rank)
         assert len(el.support) == len(weyl.finite_elements(d))
         for a, p in el.support.items():
-            assert p == LaurentPoly.term(1, alcoves.to_weyl(a).length())
+            assert p == LaurentPoly.term(1, a.elem.length())
 
 
 def test_canonical_P_examples(a1):
