@@ -35,7 +35,7 @@ class ConfigError(ValueError):
 
 
 def _build_datum(args):
-    if getattr(args, "datum_json", None):
+    if args.datum_json:
         try:
             with open(args.datum_json, "r", encoding="utf-8") as fh:
                 spec = json.load(fh)
@@ -45,7 +45,7 @@ def _build_datum(args):
             return rootdata.build_root_datum(spec)
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError("invalid datum: %s" % exc)
-    if not getattr(args, "type", None):
+    if not args.type:
         raise ConfigError("need --type or --datum-json")
     try:
         return rootdata.build_root_datum(args.type)
@@ -69,7 +69,7 @@ def _build_table(datum, args):
     """The --table table, after attaching the KL disk cache: only the
     queries that read a table compute KL columns."""
     _attach_cache(datum)
-    source = getattr(args, "table", None) or "builtin"
+    source = args.table or "builtin"
     if source == "builtin":
         return hecke.builtin_kl_table(datum)
     try:
@@ -90,28 +90,8 @@ def _parse_elem(datum, text):
     return weyl.from_text(datum, text)
 
 
-_WEIGHT_COORDS = re.compile(r"(?:-?\d+(?:\s*,\s*|\s+))*-?\d+|")
-
-
-def _parse_weight(datum, text):
-    """Integers separated by commas or whitespace, optionally inside one
-    pair of parentheses: '1,2', '1 2' or '(1, 2)'."""
-    body = text.strip()
-    if body[:1] == "(" and body[-1:] == ")":
-        body = body[1:-1].strip()
-    if not _WEIGHT_COORDS.fullmatch(body):
-        raise ConfigError(
-            "weight %r is not integers separated by commas or spaces" % text)
-    nums = re.findall(r"-?\d+", body)
-    if len(nums) != datum.lattice_rank:
-        raise ConfigError(
-            "weight needs %d coordinates, got %r" % (datum.lattice_rank, text)
-        )
-    return tuple(int(n) for n in nums)
-
-
-def _poly_pairs(poly):
-    return [[e, c] for e, c in poly.to_pairs()]
+def _parse_alcove(datum, text):
+    return alcoves.from_weyl(_parse_elem(datum, text))
 
 
 def _base_report(datum, table=None):
@@ -127,145 +107,101 @@ def _base_report(datum, table=None):
     return rep
 
 
-def _emit(doc, args):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(args, doc):
+    """Write a report (a dict, as sorted JSON) or a drawing (text) to
+    --output, or else to stdout."""
+    if not isinstance(doc, str):
+        doc = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(doc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(doc)
 
 
 # ---------------------------------------------------------------------------
 # verify suites
 
 
+def _check(name, ok, **fields):
+    """One verify check; a field that is None or empty text is left out."""
+    chk = {"name": name, "status": "pass" if ok else "FAIL"}
+    chk.update((k, v) for k, v in fields.items() if v not in (None, ""))
+    return chk
+
+
+def _first_pair(pairs, bad):
+    """The element texts of the first alcove pair on which bad holds."""
+    for a, b in pairs:
+        if bad(a, b):
+            return [weyl.to_text(a.elem), weyl.to_text(b.elem)]
+    return None
+
+
 def _suite_lemma_rho(datum, table, args):
     for omega in weyl.omega_elements(datum):
+        detail = None
         try:
             parabolic.uN_varsigma(datum, omega)
-            status = "pass"
-            detail = None
         except AssertionError as exc:
-            status = "FAIL"
             detail = str(exc)
-        chk = {
-            "name": "canonical-element-at-varsigma-translation",
-            "twist": weyl.to_text(omega),
-            "status": status,
-        }
-        if detail:
-            chk["detail"] = detail
-        yield chk
+        yield _check("canonical-element-at-varsigma-translation",
+                     detail is None, twist=weyl.to_text(omega), detail=detail)
 
 
 def _suite_main(datum, table, args):
     for w in weyl.enumerate_fWext(datum, args.max_len):
         rep = parabolic.verify_main(table, w)
-        chk = {
-            "name": "central-morphism-matches-canonical-column",
-            "w": rep["w"],
-            "status": "pass" if rep["status"] == "equal" else "FAIL",
-            "terms": rep["lhs_terms"],
-        }
-        if "diff" in rep:
-            chk["diff"] = rep["diff"]
-        yield chk
+        yield _check("central-morphism-matches-canonical-column",
+                     rep["status"] == "equal", w=rep["w"],
+                     terms=rep["lhs_terms"], diff=rep.get("diff"))
 
 
 def _suite_periodic(datum, table, args):
     window = alcoves.enumerate_alcoves(datum, args.max_len)
-    ok = True
     detail = None
     try:
         for a in window:
             periodic.p_canonical_P(table, a)
     except RuntimeError as exc:
-        ok = False
         detail = str(exc)
-    chk = {
-        "name": "normalizer-division-exact",
-        "alcoves": len(window),
-        "status": "pass" if ok else "FAIL",
-    }
-    if detail:
-        chk["detail"] = detail
-    yield chk
+    yield _check("normalizer-division-exact", detail is None,
+                 alcoves=len(window), detail=detail)
 
-    ok = True
-    bad = None
-    for a in window[: min(len(window), 25)]:
-        shifted = alcoves.translate(a, datum.varsigma)
-        lhs = periodic.canonical_P(shifted)
-        rhs = periodic.per_translate(periodic.canonical_P(a), datum.varsigma)
-        if lhs != rhs:
-            ok = False
-            bad = weyl.to_text(a.elem)
-            break
-    chk = {
-        "name": "canonical-element-translation-equivariance",
-        "status": "pass" if ok else "FAIL",
-    }
-    if bad:
-        chk["alcove"] = bad
-    yield chk
+    bad = next((weyl.to_text(a.elem) for a in window[:25]
+                if periodic.canonical_P(alcoves.translate(a, datum.varsigma))
+                != periodic.per_translate(periodic.canonical_P(a),
+                                          datum.varsigma)), None)
+    yield _check("canonical-element-translation-equivariance", bad is None,
+                 alcove=bad)
 
 
 def _suite_orders(datum, table, args):
     window = alcoves.enumerate_alcoves(datum, args.max_len)
     fund = alcoves.fundamental_alcove(datum)
+    leq = alcoves.generic_leq
 
-    ok = all(alcoves.generic_leq(a, a) == "equal" for a in window)
-    yield {"name": "generic-order-reflexive",
-           "status": "pass" if ok else "FAIL"}
+    yield _check("generic-order-reflexive",
+                 all(leq(a, a) == "equal" for a in window))
 
     pairs = [(a, b) for a in window for b in window if a != b][:400]
-    ok = True
-    bad = None
-    for a, b in pairs:
-        ab = alcoves.generic_leq(a, b)
-        ba = alcoves.generic_leq(b, a)
-        if ab == "less-equal" and ba == "less-equal":
-            ok = False
-            bad = (weyl.to_text(a.elem), weyl.to_text(b.elem))
-            break
-    chk = {"name": "generic-order-antisymmetric",
-           "status": "pass" if ok else "FAIL"}
-    if bad:
-        chk["pair"] = list(bad)
-    yield chk
+    bad = _first_pair(pairs, lambda a, b: (leq(a, b), leq(b, a))
+                      == ("less-equal", "less-equal"))
+    yield _check("generic-order-antisymmetric", bad is None, pair=bad)
 
-    ok = True
-    bad = None
-    for a, b in pairs[:100]:
-        base = alcoves.generic_leq(a, b)
-        shift = alcoves.generic_leq(
-            alcoves.translate(a, datum.varsigma),
-            alcoves.translate(b, datum.varsigma),
-        )
-        if base != shift:
-            ok = False
-            bad = (weyl.to_text(a.elem), weyl.to_text(b.elem))
-            break
-    chk = {"name": "generic-order-translation-invariant",
-           "status": "pass" if ok else "FAIL"}
-    if bad:
-        chk["pair"] = list(bad)
-    yield chk
+    def shift(a):
+        return alcoves.translate(a, datum.varsigma)
 
-    ok = True
-    for a in window[: min(len(window), 25)]:
-        for s in weyl.all_generators(datum):
-            b = alcoves.act_right(a, s)
-            if alcoves.generic_leq(a, b) not in ("less-equal", "greater-equal"):
-                ok = False
-    yield {"name": "wall-neighbors-comparable",
-           "status": "pass" if ok else "FAIL"}
+    bad = _first_pair(pairs[:100],
+                      lambda a, b: leq(a, b) != leq(shift(a), shift(b)))
+    yield _check("generic-order-translation-invariant", bad is None, pair=bad)
 
-    ok = alcoves.is_dominant(fund) and fund.elem.is_identity()
-    yield {"name": "fundamental-alcove-dominant",
-           "status": "pass" if ok else "FAIL"}
+    yield _check("wall-neighbors-comparable", all(
+        leq(a, alcoves.act_right(a, s)) in ("less-equal", "greater-equal")
+        for a in window[:25] for s in weyl.all_generators(datum)))
+
+    yield _check("fundamental-alcove-dominant",
+                 alcoves.is_dominant(fund) and fund.elem.is_identity())
 
 
 _SUITES = {
@@ -296,7 +232,7 @@ def cmd_verify(args):
                 t0 = t1
             report["checks"].append(chk)
     report["ok"] = all(c["status"] == "pass" for c in report["checks"])
-    _emit(report, args)
+    _emit(args, report)
     return 0 if report["ok"] else 1
 
 
@@ -304,90 +240,88 @@ def cmd_verify(args):
 # compute
 
 
-def _weights_sorted(datum, char):
-    return sorted(char.items(),
-                  key=lambda kv: (characters._weight_height(datum, kv[0]),
-                                  kv[0]))
+def _coefficients(datum, el):
+    """The terms of a basis element in its order; a term of the periodic
+    module is an alcove, named by its element."""
+    rows = []
+    for k, p in el.items_sorted():
+        field, x = (("alcove", k.elem) if isinstance(k, alcoves.Alcove)
+                    else ("index", k))
+        rows.append({field: weyl.to_text(x), "coefficient": p.to_pairs()})
+    return rows
+
+
+def _alcove_multiplicities(datum, q):
+    return [{"alcove": weyl.to_text(a.elem), "multiplicity": m}
+            for a, m in sorted(q.items(),
+                               key=lambda kv: weyl.sort_key(kv[0].elem))]
+
+
+def _weight_rows(datum, char):
+    return [{"weight": list(w), "multiplicity": m}
+            for w, m in sorted(char.items(), key=lambda kv: (
+                characters._weight_height(datum, kv[0]), kv[0]))]
+
+
+# The flags some compute kinds read, in the parser's order: the reader of
+# each value and its argparse settings.
+_COMPUTE_FLAGS = {
+    "elem": (_parse_elem, {"help": "group element: 's0 s1' or canonical "
+                                   "text"}),
+    "alcove": (_parse_alcove, {"help": "alcove label: word or canonical "
+                                       "text"}),
+    "weight": (rootdata._parse_weight,
+               {"help": "weight coordinates, e.g. '1,2'"}),
+    "p": (lambda datum, p: p, {"type": int, "help": "the prime"}),
+}
+
+# kind: (the flags it needs, read and passed in this order; whether it reads
+# a table, which is then passed first, else the datum is; the function; the
+# formatter of its result, or None for a result printed as it is).  The
+# functions look the library up at call time, so a wrapped or patched entry
+# point is the one called.
+_COMPUTE = {
+    "kl": (("elem",), True, lambda t, w: t.as_hecke(w), _coefficients),
+    "asph": (("elem",), True, lambda t, w: parabolic.p_N(t, w),
+             _coefficients),
+    "sph": (("elem",), True, lambda t, w: parabolic.p_M(t, w), _coefficients),
+    "periodic": (("alcove",), True,
+                 lambda t, a: periodic.p_canonical_P(t, a), _coefficients),
+    "qa": (("alcove",), True, lambda t, a: characters.q_of_alcove(t, a),
+           _alcove_multiplicities),
+    "simplechar": (("p", "weight"), True, lambda t, p, lam:
+                   characters.simple_character(t, lam, p), _weight_rows),
+    "projmult": (("p", "weight"), True, lambda t, p, lam:
+                 characters.projective_multiplicities_weight(t, lam, p),
+                 _weight_rows),
+    "babyverma": (("p", "weight"), False, lambda d, p, lam:
+                  characters.baby_verma_character(d, lam, p), _weight_rows),
+    "bounds": ((), False, lambda d: dict(zip(
+        ("baseline", "upper", "improved"), rootdata.complexity_bounds(d))),
+        None),
+}
 
 
 def cmd_compute(args):
     datum = _build_datum(args)
-    kind = args.kind
-    report = _base_report(datum)
-    report["kind"] = kind
-
-    if kind == "bounds":
-        lo, hi, improved = rootdata.complexity_bounds(datum)
-        report["result"] = {"baseline": lo, "upper": hi, "improved": improved}
-        _emit(report, args)
-        return 0
-
-    if kind == "babyverma":
-        if args.p is None or args.weight is None:
-            raise ConfigError("babyverma needs --p and --weight")
-        char = characters.baby_verma_character(
-            datum, _parse_weight(datum, args.weight), args.p)
-        report["result"] = [{"weight": list(w), "multiplicity": m}
-                            for w, m in _weights_sorted(datum, char)]
-        _emit(report, args)
-        return 0
-
-    table = _build_table(datum, args)
-    report["table_hash"] = table.table_hash
-
-    if kind == "kl":
-        if args.elem is None:
-            raise ConfigError("kl needs --elem")
-        el = table.as_hecke(_parse_elem(datum, args.elem))
-        report["result"] = [
-            {"index": weyl.to_text(w), "coefficient": _poly_pairs(p)}
-            for w, p in el.items_sorted()
-        ]
-    elif kind in ("asph", "sph"):
-        if args.elem is None:
-            raise ConfigError("%s needs --elem" % kind)
-        w = _parse_elem(datum, args.elem)
-        el = (parabolic.p_N if kind == "asph" else parabolic.p_M)(table, w)
-        report["result"] = [
-            {"index": weyl.to_text(y), "coefficient": _poly_pairs(p)}
-            for y, p in el.items_sorted()
-        ]
-    elif kind == "periodic":
-        if args.alcove is None:
-            raise ConfigError("periodic needs --alcove")
-        a = alcoves.from_weyl(_parse_elem(datum, args.alcove))
-        el = periodic.p_canonical_P(table, a)
-        report["result"] = [
-            {"alcove": weyl.to_text(b.elem), "coefficient": _poly_pairs(p)}
-            for b, p in el.items_sorted()
-        ]
-    elif kind == "qa":
-        if args.alcove is None:
-            raise ConfigError("qa needs --alcove")
-        a = alcoves.from_weyl(_parse_elem(datum, args.alcove))
-        q = characters.q_of_alcove(table, a)
-        report["result"] = [
-            {"alcove": weyl.to_text(b.elem), "multiplicity": m}
-            for b, m in sorted(q.items(),
-                               key=lambda kv: weyl.sort_key(kv[0].elem))
-        ]
-    elif kind == "projmult":
-        if args.p is None or args.weight is None:
-            raise ConfigError("projmult needs --p and --weight")
-        row = characters.projective_multiplicities_weight(
-            table, _parse_weight(datum, args.weight), args.p)
-        report["result"] = [{"weight": list(w), "multiplicity": m}
-                            for w, m in _weights_sorted(datum, row)]
-    elif kind == "simplechar":
-        if args.p is None or args.weight is None:
-            raise ConfigError("simplechar needs --p and --weight")
-        char = characters.simple_character(
-            table, _parse_weight(datum, args.weight), args.p)
-        report["result"] = [{"weight": list(w), "multiplicity": m}
-                            for w, m in _weights_sorted(datum, char)]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError("unknown compute kind %r" % kind)
-    _emit(report, args)
+    flags, reads_table, compute, shape = _COMPUTE[args.kind]
+    table = _build_table(datum, args) if reads_table else None
+    if any(getattr(args, f) is None for f in flags):
+        raise ConfigError("%s needs %s" % (
+            args.kind, " and ".join("--" + f for f in flags)))
+    unread = ["--" + f for f in _COMPUTE_FLAGS
+              if f not in flags and getattr(args, f) is not None]
+    if not reads_table and (args.table or "builtin") != "builtin":
+        unread.append("--table")
+    if unread:
+        raise ConfigError("%s does not read %s" % (
+            args.kind, " or ".join(unread)))
+    values = [_COMPUTE_FLAGS[f][0](datum, getattr(args, f)) for f in flags]
+    result = compute(datum if table is None else table, *values)
+    report = _base_report(datum, table)
+    report["kind"] = args.kind
+    report["result"] = result if shape is None else shape(datum, result)
+    _emit(args, report)
     return 0
 
 
@@ -469,7 +403,8 @@ def _shading(datum, expr):
         return (lambda a: False), labels
     m = re.fullmatch(r"box\(([-\d,\s]+)\)", expr)
     if m or expr == "restricted":  # restricted: the box above the weight 0
-        mu = _parse_weight(datum, m.group(1)) if m else (0,) * datum.lattice_rank
+        mu = (rootdata._parse_weight(datum, m.group(1)) if m
+              else (0,) * datum.lattice_rank)
         return (lambda a: alcoves.box_rep_above(a) == mu), labels
     m = re.fullmatch(r"fW-window\((\d+)\)", expr)
     if m:
@@ -487,7 +422,7 @@ def _shading(datum, expr):
                 name, word = part.split("=", 1)
             else:
                 name, word = part, part
-            a = alcoves.from_weyl(_parse_elem(datum, word.strip()))
+            a = _parse_alcove(datum, word.strip())
             keys.add(a.elem)
             labels[a.elem] = name.strip()
         return (lambda a: a.elem in keys), labels
@@ -569,14 +504,8 @@ def cmd_draw(args):
         polys.append((pts, bool(pred(a)), a))
         if a.elem in labels:
             labels_at.append(((cx, cy), labels[a.elem]))
-    text = (_draw_tikz if args.format == "tikz" else _draw_svg)(
-        polys, labels_at)
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, (_draw_tikz if args.format == "tikz" else _draw_svg)(
+        polys, labels_at))
     return 0
 
 
@@ -607,8 +536,7 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite",
-                    choices=["lemma-rho", "main", "periodic", "orders", "all"])
+    pv.add_argument("suite", choices=list(_SUITES) + ["all"])
     _add_common(pv)
     pv.add_argument("--max-len", dest="max_len", type=int, default=4,
                     help="length bound for element/alcove sweeps")
@@ -618,17 +546,13 @@ def build_parser():
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("compute", help="print one basis element or table")
-    pc.add_argument("kind", choices=["kl", "asph", "sph", "periodic", "qa",
-                                     "simplechar", "projmult", "babyverma",
-                                     "bounds"],
+    pc.add_argument("kind", choices=list(_COMPUTE),
                     help="what to print; simplechar is the dominant part of "
                          "the character of the G₁T-simple module at "
                          "--weight")
     _add_common(pc)
-    pc.add_argument("--elem", help="group element: 's0 s1' or canonical text")
-    pc.add_argument("--alcove", help="alcove label: word or canonical text")
-    pc.add_argument("--weight", help="weight coordinates, e.g. '1,2'")
-    pc.add_argument("--p", type=int, help="the prime")
+    for flag, (_, settings) in _COMPUTE_FLAGS.items():
+        pc.add_argument("--" + flag, **settings)
     pc.set_defaults(func=cmd_compute)
 
     pd = sub.add_parser("draw", help="rank-2 alcove diagram (SVG or TikZ)")
@@ -648,10 +572,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # ConfigError included
         # str() of a KeyError is the repr of its argument; print the text
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print("error: %s" % msg, file=sys.stderr)

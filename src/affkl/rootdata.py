@@ -71,6 +71,28 @@ def scale_weight(c, x):
     return tuple(c * a for a in x)
 
 
+_WEIGHT_COORDS = re.compile(r"(?:-?\d+(?:\s*,\s*|\s+))*-?\d+|")
+
+
+def _parse_weight(datum, text):
+    """Integers separated by commas or whitespace, optionally inside one
+    pair of parentheses: '1,2', '1 2' or '(1, 2)'.  The one weight grammar:
+    the CLI's --weight and box(mu), and the 't:' field of weyl.from_text.
+    Private, so the benchmark's layer tracer leaves it unwrapped: KLCache
+    reads parse a 't:' field per stored term, and a span costs more."""
+    body = text.strip()
+    if body[:1] == "(" and body[-1:] == ")":
+        body = body[1:-1].strip()
+    if not _WEIGHT_COORDS.fullmatch(body):
+        raise ValueError(
+            "weight %r is not integers separated by commas or spaces" % text)
+    nums = body.replace(",", " ").split()
+    if len(nums) != datum.lattice_rank:
+        raise ValueError(
+            "weight needs %d coordinates, got %r" % (datum.lattice_rank, text))
+    return tuple(map(int, nums))
+
+
 class MemoStore:
     """The memo tables of one root datum.
 

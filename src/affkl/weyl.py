@@ -25,7 +25,8 @@ restricted test is a box test on the same point.
 from __future__ import annotations
 
 from ._intlinalg import inverse
-from .rootdata import add_weights, neg_weight, pair, scale_weight, sub_weights
+from .rootdata import (_parse_weight, add_weights, neg_weight, pair,
+                       scale_weight, sub_weights)
 
 __all__ = [
     "ExtElem",
@@ -566,7 +567,8 @@ def to_text(x):
 
 def from_text(datum, text):
     """Parse the element text encoding (inverse of to_text; also accepts
-    affine generators inside the word and an 'omega: k' factor)."""
+    affine generators inside the word and an 'omega: k' factor).  A 't:'
+    field is a weight in the grammar of rootdata._parse_weight."""
     text = text.strip()
     if text == "e" or not text:
         return identity(datum)
@@ -582,15 +584,13 @@ def from_text(datum, text):
                                      % (tok, " ".join(names)))
                 result = multiply(result, by_name[tok])
         elif field.startswith("t:"):
-            body = field[2:].strip()
-            if not (body.startswith("(") and body.endswith(")")):
-                raise ValueError("translation must look like (a,b)")
-            coords = tuple(int(v) for v in body[1:-1].split(","))
-            if len(coords) != datum.lattice_rank:
-                raise ValueError("translation has wrong dimension")
-            result = multiply(result, translation(datum, coords))
+            mu = _parse_weight(datum, field[2:].lstrip())
+            result = multiply(result, translation(datum, mu))
         elif field.startswith("omega:"):
-            k = int(field[6:])
+            index = field[6:].strip()
+            if not index.removeprefix("-").isdecimal():
+                raise ValueError("omega index %r is not an integer" % index)
+            k = int(index)
             omegas = omega_elements(datum)
             if not 0 <= k < len(omegas):
                 raise ValueError("omega index %d out of range 0..%d"

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report shape, drawing, determinism."""
 
+import hashlib
 import json
 import os
 import resource
@@ -233,13 +234,49 @@ def test_output_file_roundtrip(tmp_path, capsys):
     assert doc["ok"] is True
 
 
+# The texts that int() once read: as 10, as 1, or with its own bare
+# message.  A refusal of one names the text.
+_NAMED_IN_REFUSAL = {"omega: x": "'x'", "t: (1_0)": "'(1_0)'",
+                     "t: (+1)": "'(+1)'", "t: ()": "'()'"}
+
+
 @pytest.mark.parametrize("elem", ["omega: 5", "omega: -1", "omega: x",
-                                  "t: (1,2)", "w: s9"])
+                                  "t: (1,2)", "w: s9", "t: (1_0)", "t: (+1)",
+                                  "t: ()"])
 def test_bad_element_text_exits_2(capsys, elem):
     code, out, err = _run(capsys, "compute", "kl", "--type", "A1",
                           "--elem", elem)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+    assert _NAMED_IN_REFUSAL.get(elem, "") in err
+
+
+def test_translation_field_reads_the_weight_grammar(capsys):
+    # 't: 4' is read as '--weight 4' is
+    _, bare, _ = _run(capsys, "compute", "kl", "--type", "A1", "--elem",
+                      "t: 4")
+    _, canonical, _ = _run(capsys, "compute", "kl", "--type", "A1", "--elem",
+                           "t: (4)")
+    assert bare == canonical and json.loads(bare)["result"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("babyverma", "--type", "A1", "--weight", "1", "--p", "5",
+      "--table", "/nonexistent"), "babyverma does not read --table"),
+    (("bounds", "--type", "A1", "--elem", "s0"), "bounds does not read --elem"),
+    (("kl", "--type", "A1", "--elem", "s0", "--p", "5", "--weight", "3"),
+     "kl does not read --weight or --p"),
+    (("qa", "--type", "A1", "--alcove", "s0", "--elem", "s0"),
+     "qa does not read --elem"),
+], ids=["babyverma-table", "bounds-elem", "kl-weight-p", "qa-elem"])
+def test_flag_a_kind_does_not_read_exits_2(capsys, argv, message):
+    code, out, err = _run(capsys, "compute", *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_builtin_table_counts_as_no_table(capsys):
+    argv = ("compute", "bounds", "--type", "A1")
+    assert _run(capsys, *argv, "--table", "builtin") == _run(capsys, *argv)
 
 
 @pytest.mark.parametrize("kind", ["simplechar", "projmult", "babyverma"])
@@ -413,3 +450,68 @@ def test_walk_guard_inside_verify_periodic_exits_2(capsys, monkeypatch):
     code, out, err = _run(capsys, "verify", "periodic", "--type", "A1",
                           "--max-len", "2")
     assert (code, out, err) == (2, "", _WALK_GUARD)
+
+
+# sha256 of the JSON list [exit code, stdout, stderr] of each command: every
+# compute kind, two missing-flag refusals, an argparse refusal, each verify
+# suite and both drawing formats.  Any changed byte or exit code fails.
+PINNED = [
+    (("compute", "kl", "--type", "A1", "--elem", "s0 s1"),
+     "2165d6a3d4239a623cfff3417fccadc9d99a4931393833a7f541392920fffd83"),
+    (("compute", "kl", "--type", "C2", "--elem", "w: s1 s2 | t: (1,0)"),
+     "58bf7b5a07cc8a6d7d4a5aca047d03eed9ddb8df88164d3d48b2e7c4e7d5da6c"),
+    (("compute", "asph", "--type", "A2", "--elem", "s0 s1 s2"),
+     "2f349dc6c9b2f93a8f1a59e0f7808dc6976f585510ef9adf50d0184ac6258af1"),
+    (("compute", "sph", "--type", "C2", "--elem", "s0 s1"),
+     "ebb5f060de3ef02c7e38e501d41e47412b330d907e7cf9440b29c33e46889274"),
+    (("compute", "periodic", "--type", "A1", "--alcove", "s0 s1"),
+     "c3221b0dda993ceea557fafda32571d89b2417ec2c246038125672705a4b3f95"),
+    (("compute", "qa", "--type", "A2", "--alcove", "s0"),
+     "d6c31c9e5f403dad002c01d94eab6cf9852ffa524553d191de91d5eacc8e6ff1"),
+    (("compute", "simplechar", "--type", "A1", "--weight", "6", "--p", "5"),
+     "66232e910b7e792d2840e6a2db7918d3e0305e235d6da9eeeb3d2c095bd09331"),
+    (("compute", "projmult", "--type", "A1", "--weight", "3", "--p", "5"),
+     "26ccb3038a5e7050ab5ff7e57103013f32417ccd18a40602d110787d806a21c0"),
+    (("compute", "babyverma", "--type", "A2", "--weight", "(1, 2)",
+      "--p", "3"),
+     "fb87954e2407f50d586b631d8db7dba68585ade6bf65494717d35e65ae65a82a"),
+    (("compute", "bounds", "--type", "C2"),
+     "7cbc28e832ad02bc39fa80624057cb089f1756c65a8b95de8c77b4b308ed5154"),
+    (("compute", "kl", "--type", "A1"),
+     "6022550cc807d81a0bad8d34279d8d2205274377362205129c09aa0efa58f538"),
+    (("compute", "simplechar", "--type", "A1", "--weight", "1"),
+     "2eb9d72e1c958bda494ab1ae0f11d469176160cfa111297b46820e585e7cc59d"),
+    (("compute", "nope", "--type", "A1"),
+     "79948ff38d69eb0b7c813d6acaa5828001504701e8b5ebc07e2074b38cd5e991"),
+    (("verify", "lemma-rho", "--type", "A2"),
+     "40c4ab11d5942f873bb9b8c8599390567d30aa4d31721c5604f7c566b5467174"),
+    (("verify", "main", "--type", "C2", "--max-len", "2"),
+     "41a7d0c78333aa7e4021c9b7b81ac839ae783be0f99f8f7bd500fe629c7646a5"),
+    (("verify", "periodic", "--type", "A1", "--max-len", "3"),
+     "39f66dd2eb3fb6a4f3eef4699a7e1359d303863d04e4998c2d93f7f5b1ce06c6"),
+    (("verify", "orders", "--type", "A2", "--max-len", "2"),
+     "b36185654cc466da02add1a2b4d8940f6b0a2ce79ba5c0f2ae6d804d0d5b51ac"),
+    (("verify", "all", "--type", "A1", "--max-len", "3"),
+     "f5e9ccce83807344d494df4c8a5da969ec9c4711b30306c33a4b04476c01bff9"),
+    (("draw", "--type", "C2", "--bound", "2", "--shade", "restricted"),
+     "cb66dd0eb268fa55c257cdc8a7f5097a144203563dfa4914d981066ddbdacd97"),
+    (("draw", "--type", "G2", "--bound", "2", "--shade", "list:A=e;D=s0",
+      "--format", "tikz"),
+     "2562657c1ddf2b1d9c28e00b2d4359b65c415d4ec709dfe864041a897b0b5b5a"),
+]
+
+
+def test_cli_bytes_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to this
+    monkeypatch.delenv("AFFKL_CACHE_DIR", raising=False)
+    changed = []
+    for argv, digest in PINNED:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's own refusals
+            code = exc.code
+        out = capsys.readouterr()
+        doc = json.dumps([code, out.out, out.err]).encode()
+        if hashlib.sha256(doc).hexdigest() != digest:
+            changed.append(" ".join(argv))
+    assert not changed

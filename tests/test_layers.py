@@ -90,6 +90,33 @@ def test_only_intlinalg_and_cli_import_fractions():
     assert importers <= {"_intlinalg.py", "cli.py"}, importers
 
 
+# The runtime is stdlib-only, and every import on the CLI path adds to the
+# fixed cost of each process.  A new module here is a decision, not a drift.
+STDLIB_IMPORTS = {"__future__", "argparse", "fractions", "hashlib",
+                  "itertools", "json", "math", "os", "re", "struct", "sys",
+                  "time", "zlib"}
+
+
+def test_package_imports_only_itself_and_known_stdlib_modules():
+    src = os.path.join(ROOT, "src", "affkl")
+    outside = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            outside.update((name, m) for m in modules
+                           if m.split(".")[0] not in STDLIB_IMPORTS)
+    assert not outside, sorted(outside)
+
+
 # Each module imports only the layers below it; modules of one rank do not
 # import each other.
 LAYER_RANK = {"_intlinalg": 0, "rootdata": 1, "weyl": 2, "alcoves": 3,

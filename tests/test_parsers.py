@@ -12,11 +12,12 @@ import struct
 import tempfile
 import zlib
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from affkl import hecke, rootdata, weyl
-from affkl.cli import _parse_elem, _parse_weight
+from affkl.cli import _parse_elem
+from affkl.rootdata import _parse_weight
 
 DATA = {label: rootdata.build_root_datum(label)
         for label in ("A1", "A3", "B2", "G2")}
@@ -26,6 +27,7 @@ LABEL = st.sampled_from(sorted(DATA))
 PIECES = st.sampled_from([
     "w:", "t:", "omega:", "|", "(", ")", ",", "-", " ", "\t", ":", "e", "s0",
     "s1", "s2", "s3", "s9", "s0_1", "0", "1", "3", "99999999999", "x", "1.5",
+    "+", "_",
 ])
 TEXT = st.one_of(st.text(max_size=40),
                  st.lists(PIECES, max_size=14).map("".join))
@@ -33,6 +35,8 @@ TEXT = st.one_of(st.text(max_size=40),
 
 @settings(max_examples=300, deadline=None)
 @given(LABEL, TEXT)
+@example("A1", "t: (+1)")
+@example("A1", "w: s1 | t: (1_0)")
 def test_from_text_parses_or_refuses(label, text):
     d = DATA[label]
     try:
@@ -41,6 +45,14 @@ def test_from_text_parses_or_refuses(label, text):
         return
     assert x.datum is d
     assert weyl.from_text(d, weyl.to_text(x)) == x
+    # an accepted 't:' field is exactly its integer tokens, as --weight is
+    for field in text.split("|"):
+        field = field.strip()
+        if field.startswith("t:"):
+            tokens = [t for t in re.split(r"[\s,()]+", field[2:]) if t]
+            assert all(re.fullmatch(r"-?\d+", t) for t in tokens), text
+            assert weyl.from_text(d, field) == weyl.translation(
+                d, tuple(int(t) for t in tokens)), text
 
 
 @settings(max_examples=300, deadline=None)
