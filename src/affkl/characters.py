@@ -5,9 +5,11 @@ their (easy) characters, projective covers through their multiplicity rows,
 and simple modules through the unitriangular inversion of those rows.  The
 row of a weight is q_A of its block alcove, relabelled by weights: the
 v = 1 specialization of the periodic canonical element that an algebra
-(H-kind) table gives at hat(A).  All operations refuse inputs outside their
-hypotheses (singular weights, N- or M-kind tables, windows too small to
-triangulate) instead of extrapolating.
+(H-kind) table gives at hat(A).  hat(A) is its finite base translated by
+a root-lattice weight lam, so a row is its finite base's row shifted by
+p lam.  All operations refuse inputs outside their hypotheses (singular
+weights, N- or M-kind tables, windows too small to triangulate) instead of
+extrapolating.
 
 Weights are integer tuples in lattice coordinates; formal characters are
 maps weight -> multiplicity.
@@ -142,18 +144,44 @@ def projective_multiplicities_weight(table, lam, p):
     projective cover, the baby Verma and the simple module all coincide).
     A regular weight lam = w dot_p base, with base in the fundamental
     p-alcove and w in W (block_position), gets q_A of the alcove
-    A = w(A_fund), its keys B relabelled by the weights B dot_p base; the
-    periodic memo keeps the work.  Other singular weights are refused, and
-    so is an N- or M-kind table ("periodic canonical elements need an
-    algebra table").
+    A = w(A_fund), its keys B relabelled by the weights B dot_p base.
+    hat(A) = t_mu f(A_fund), with mu in the root lattice, and
+    dot_p(t_mu B, base, p) = dot_p(B, base, p) + p mu, so the row is read
+    off the finite base's row (_finite_base_row): the key (f, f(t), m)
+    becomes f(base + varsigma) + p mu - varsigma + p f(t).  Other singular
+    weights are refused, and so is an N- or M-kind table ("periodic
+    canonical elements need an algebra table").
     """
     lam = _check_query(table, lam, p)
     datum = table.datum
     if is_steinberg_type(datum, lam, p):
         return {lam: 1}
     base, w = block_position(datum, lam, p)
-    return {weyl.dot_p(b.elem, base, p): m
-            for b, m in q_of_alcove(table, alcoves.from_weyl(w)).items()}
+    x = alcoves.hat(alcoves.from_weyl(w)).elem
+    shift = sub_weights(scale_weight(p, x.apply((0,) * datum.lattice_rank)),
+                        datum.varsigma)
+    top = add_weights(base, datum.varsigma)
+    row = _finite_base_row(table, x.fin)
+    corner = {f: add_weights(weyl._mat_apply(f, top), shift)
+              for f in {f for f, _, _ in row}}
+    return {tuple(c + p * t for c, t in zip(corner[f], ft)): m
+            for f, ft, m in row}
+
+
+def _finite_base_row(table, fin):
+    """The v = 1 specialization of p_canonical_P at the finite base
+    fin(A_fund), as triples (f, f(t), m) for its keys B = (f t)(A_fund)
+    with value m, memoized per (table, fin): at most |W_f| rows per table.
+    A refusal of p_canonical_P is never kept."""
+    entry = table.datum.memo.entry("characters_projective_rows")
+    row = entry.get((table, fin))
+    if row is None:
+        zero = (0,) * table.datum.lattice_rank
+        base = alcoves.Alcove(weyl.from_finite_matrix(table.datum, fin))
+        values = periodic.p_canonical_P(table, base).specialize_v1()
+        row = entry[table, fin] = [(b.elem.fin, b.elem.apply(zero), m)
+                                   for b, m in values.items()]
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +317,8 @@ def _lower_block_candidates(datum, lam, p):
     coordinates of (lam + varsigma) - z(lam + varsigma).  So the block is
     enumerated directly: per z, only the beta that keep k in the box."""
     top = add_weights(lam, datum.varsigma)
-    cartan_inv = inverse(datum.cartan)
+    cartan_inv = datum.memo.entry("characters_cartan_inverse",
+                                  lambda: inverse(datum.cartan))
     bound = [(p - 1) * sum(cf[i] for cf in datum.root_coeffs)
              for i in range(datum.rank)]
     out = []

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from . import alcoves, hecke, weyl
 from .hecke import Combination, HeckeElem, LaurentPoly, one
-from .rootdata import pair, sub_weights
+from .rootdata import add_weights, pair, sub_weights
 
 __all__ = [
     "PeriodicElem",
@@ -162,11 +162,19 @@ def per_act(x, h):
 
 
 def per_translate(x, mu):
-    """Shift every alcove key by the weight mu."""
-    return PeriodicElem(
-        x.datum,
-        {alcoves.translate(a, mu): p for a, p in x.support.items()},
-    )
+    """Shift every alcove key by the weight mu.  For mu in the root lattice,
+    t_mu (w t_m) = w t_{m + w^{-1}(mu)} stays in W, so each key is rebuilt
+    from w^{-1}(mu), computed once per finite part w, with no
+    set-stabilizing rewrite; any other mu goes through alcoves.translate."""
+    d = x.datum
+    if not d.in_root_lattice(mu):
+        return PeriodicElem(
+            d, {alcoves.translate(a, mu): p for a, p in x.support.items()})
+    shift = {w: weyl._mat_apply(weyl._mat_inv(d, w), mu)
+             for w in {a.elem.fin for a in x.support}}
+    return PeriodicElem(d, {alcoves.Alcove(weyl.ExtElem(
+        d, a.elem.fin, add_weights(a.elem.trans, shift[a.elem.fin]))): p
+        for a, p in x.support.items()})
 
 
 def canonical_P_fund(datum, mu):

@@ -57,8 +57,19 @@ production algorithm, so agreement is evidence rather than tautology:
 * ``projective_row_by_column`` reads the projective row of a weight off
   one table column by the multiplicity theorem, after a p X translation
   into its hypotheses (checked by ``label_violation`` on the alcove point),
-  where ``characters.projective_multiplicities_weight`` relabels q_A of
-  the weight's block alcove, a periodic canonical element.
+  where ``characters.projective_multiplicities_weight`` reads q_A of the
+  weight's block alcove, a periodic canonical element, off its finite
+  base's row.
+* ``projective_row_by_q_of_alcove`` relabels q_A of the weight's block
+  alcove key by key with ``weyl.dot_p``, where
+  ``characters.projective_multiplicities_weight`` shifts the memoized row
+  of the finite base of hat(A) by p times a root-lattice weight.
+* ``per_translate_by_alcoves`` shifts every key of a periodic element by
+  ``alcoves.translate``, where ``periodic.per_translate`` rebuilds the
+  keys of a root-lattice shift from one w^{-1}(mu) per finite part.
+* ``generic_leq_by_two_walks`` decides the generic order by up to two
+  Bruhat walks on the shifted points, where ``alcoves.generic_leq`` first
+  compares their lengths in closed form and walks at most once.
 * ``lower_block_candidates_by_walk`` scans the box below a weight and keeps
   the points whose alcove walk ends at the weight's own base weight.
 * ``is_restricted_by_dot_action`` tests restrictedness by the dilated dot
@@ -545,6 +556,47 @@ def projective_row_by_column(table, lam, p):
         if val:
             row[sub_weights(weyl.dot_p(y, base, p), shift)] = val
     return row
+
+
+def projective_row_by_q_of_alcove(table, lam, p):
+    """{nu: (Q-hat(lam) : Z-hat(nu))} for a regular or Steinberg-type lam:
+    q_A of the block alcove A = w(A_fund), lam = w dot_p base, each key B
+    relabelled by the weight B dot_p base."""
+    datum = table.datum
+    lam = tuple(lam)
+    if characters.is_steinberg_type(datum, lam, p):
+        return {lam: 1}
+    base, w = characters.block_position(datum, lam, p)
+    return {weyl.dot_p(b.elem, base, p): m for b, m
+            in characters.q_of_alcove(table, alcoves.from_weyl(w)).items()}
+
+
+def per_translate_by_alcoves(x, mu):
+    """The periodic element x with every key shifted by the weight mu
+    through ``alcoves.translate``, whatever lattice class mu has."""
+    return periodic.PeriodicElem(
+        x.datum, {alcoves.translate(a, mu): p for a, p in x.support.items()})
+
+
+def generic_leq_by_two_walks(a, b):
+    """The generic order on the dominant translates by m * varsigma (m the
+    smallest that makes both dominant): "less-equal" if the Bruhat walk
+    from b's point takes a's point to A_fund, else "greater-equal" if the
+    walk the other way does, else "incomparable"."""
+    if a == b:
+        return "equal"
+    d = a.datum
+    m = max(alcoves._dominant_shift(d, alcoves._point(a)),
+            alcoves._dominant_shift(d, alcoves._point(b)))
+    shift = scale_weight(d.coxeter_number * m, d.varsigma)
+    qa = add_weights(alcoves._point(a), shift)
+    qb = add_weights(alcoves._point(b), shift)
+    walls = weyl._walls(d)
+    if weyl._bruhat_points(walls, qa, qb):
+        return "less-equal"
+    if weyl._bruhat_points(walls, qb, qa):
+        return "greater-equal"
+    return "incomparable"
 
 
 def lower_block_candidates_by_walk(datum, lam, p):

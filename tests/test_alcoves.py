@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from affkl import alcoves, rootdata, weyl
 from affkl.rootdata import neg_weight, pair
 from oracles import (act_left_by_products, conjugated_longest_by_products,
-                     generic_leq_by_stepping, set_stabilized_by_conjugation)
+                     generic_leq_by_stepping, generic_leq_by_two_walks,
+                     set_stabilized_by_conjugation)
 
 LABELS = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"]
 
@@ -201,3 +202,54 @@ def test_generic_leq_matches_stepping_oracle(label, bound, sample):
     for a, b in pairs:
         assert alcoves.generic_leq(a, b) \
             == generic_leq_by_stepping(on_oracle(a), on_oracle(b)), (a, b)
+
+
+@pytest.mark.parametrize("label, bound", [
+    ("A1", 8), ("A2", 4), ("C2", 3), ("B2", 4), ("G2", 4), ("A3", 3),
+    ("B3", 3), ("C3", 3)])
+def test_generic_leq_matches_two_walks(label, bound):
+    """Gating the Bruhat walk on the closed-form lengths gives the verdict
+    of the two walks on every ordered pair of the window."""
+    d = rootdata.build_root_datum(label)
+    window = alcoves.enumerate_alcoves(d, bound)
+    for a in window:
+        for b in window:
+            assert alcoves.generic_leq(a, b) \
+                == generic_leq_by_two_walks(a, b), (a, b)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_point_length_matches_length(label):
+    """The closed-form length of a scaled alcove point is weyl.length of
+    its element, on every element of length <= 5 (<= 3 on B3 and C3)."""
+    d = rootdata.build_root_datum(label)
+    bound = 3 if label in ("B3", "C3") else 5
+    for x in weyl.enumerate_W(d, bound):
+        assert alcoves._point_length(d, weyl._alcove_point(x)) \
+            == weyl.length(x), x
+
+
+def _dominant_translates(a, b):
+    """a and b translated by m * varsigma for the smallest m >= 0 that
+    makes both dominant, found by stepping m."""
+    for m in range(10000):
+        mu = tuple(m * c for c in a.datum.varsigma)
+        ta, tb = alcoves.translate(a, mu), alcoves.translate(b, mu)
+        if alcoves.is_dominant(ta) and alcoves.is_dominant(tb):
+            return ta, tb
+    raise AssertionError("no dominant translate found")
+
+
+@pytest.mark.parametrize("label, bound", [("A2", 4), ("C2", 3), ("G2", 3)])
+def test_equal_shifted_lengths_are_incomparable(label, bound):
+    """Distinct alcoves whose dominant translates have equal length (by
+    weyl.length on the translated elements) are incomparable."""
+    d = rootdata.build_root_datum(label)
+    window = alcoves.enumerate_alcoves(d, bound)
+    seen = 0
+    for a, b in itertools.permutations(window, 2):
+        ta, tb = _dominant_translates(a, b)
+        if ta.elem.length() == tb.elem.length():
+            assert alcoves.generic_leq(a, b) == "incomparable", (a, b)
+            seen += 1
+    assert seen

@@ -10,6 +10,7 @@ import pytest
 from affkl import alcoves, characters as ch, hecke, rootdata, weyl
 from oracles import (coset_constancy, label_violation,
                      lower_block_candidates_by_walk, projective_row_by_column,
+                     projective_row_by_q_of_alcove,
                      simple_characters_by_reciprocity, sl2_simple_character)
 
 
@@ -110,17 +111,21 @@ def test_projective_dimension_sums(a1, a1_table):
     ("B2", 7, -7, 14), ("C2", 7, -7, 14), ("G2", 11, 0, 11), ("A3", 7, 0, 7),
 ])
 def test_rows_match_column_route(label, p, lo, hi):
-    """The row read off q_A of the block alcove equals the row of the
-    multiplicity theorem, one table column at a p X-shifted label, on every
-    regular or Steinberg-type weight of the window [lo, hi)^rank."""
+    """The row shifted from the finite base's row equals the row of the
+    multiplicity theorem, one table column at a p X-shifted label, and q_A
+    of the block alcove relabelled key by key (on a second datum, so that
+    no memo is shared), on every regular or Steinberg-type weight of the
+    window [lo, hi)^rank."""
     d = rootdata.build_root_datum(label)
     table = hecke.builtin_kl_table(d)
+    other = hecke.builtin_kl_table(rootdata.build_root_datum(label))
     seen = 0
     for lam in product(range(lo, hi), repeat=d.lattice_rank):
         if not (ch._is_regular(d, lam, p) or ch.is_steinberg_type(d, lam, p)):
             continue
-        assert ch.projective_multiplicities_weight(table, lam, p) \
-            == projective_row_by_column(table, lam, p), lam
+        row = ch.projective_multiplicities_weight(table, lam, p)
+        assert row == projective_row_by_column(table, lam, p), lam
+        assert row == projective_row_by_q_of_alcove(other, lam, p), lam
         seen += 1
     assert seen
 

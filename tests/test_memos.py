@@ -2,6 +2,8 @@
 never answer for another table, never hand out their own dicts, never keep
 a refusal, and a warm datum answers as a fresh one does."""
 
+import itertools
+
 import pytest
 
 from affkl import alcoves, characters as ch, hecke, periodic, rootdata, weyl
@@ -159,3 +161,64 @@ def test_reduced_word_of_a_far_element_stops_at_the_walk_guard():
     assert len(weyl.reduced_word(weyl.translation(d, (60000,)))) == 60000
     with pytest.raises(ValueError, match="100000-step guard"):
         weyl.reduced_word(weyl.translation(d, (120000,)))
+
+
+def test_projective_row_memo_holds_one_row_per_finite_base_and_table():
+    """Every regular weight of a C2/7 window, asked of two tables, fills
+    the row entry with at most |W_f| rows per table; a caller that mutates
+    a returned row leaves the entry as it was."""
+    d = rootdata.build_root_datum("C2")
+    builtin = hecke.builtin_kl_table(d)
+    for_p = hecke.PCanonicalTable(d, 7, "H", builtin=True)
+    weights = [lam for lam in itertools.product(range(-7, 14), repeat=2)
+               if ch._is_regular(d, lam, 7)]
+    for table in (builtin, for_p):
+        for lam in weights:
+            ch.projective_multiplicities_weight(table, lam, 7)
+    entry = d.memo.entry("characters_projective_rows")
+    per_table = [sum(t is table for t, _ in entry)
+                 for table in (builtin, for_p)]
+    assert sum(per_table) == len(entry)
+    assert all(0 < n <= len(weyl.finite_elements(d)) for n in per_table)
+    kept = {key: list(row) for key, row in entry.items()}
+    for lam in weights[:20]:
+        row = ch.projective_multiplicities_weight(builtin, lam, 7)
+        row.clear()
+        row[(99, 99)] = 1
+    assert entry == kept
+
+
+def test_projective_row_memo_never_answers_for_another_table():
+    """After the built-in table answered, a partial table still refuses, a
+    table with doubled columns answers doubled rows, and the N- and M-kind
+    and other-prime tables keep their refusal messages; no refusal leaves
+    a row."""
+    d = rootdata.build_root_datum("A1")
+    builtin = hecke.builtin_kl_table(d)
+    lams = [(lam,) for lam in range(-10, 15) if (lam + 1) % 5]
+    rows = {lam: ch.projective_multiplicities_weight(builtin, lam, 5)
+            for lam in lams}
+    bases = [alcoves.Alcove(x) for x in weyl.finite_elements(d)]
+    indices = {periodic._column_index(b) for b in bases}
+    double = hecke.LaurentPoly.term(2)
+    doubled = hecke.PCanonicalTable(d, "infinity", "H", {
+        w: {y: poly * double for y, poly in builtin.column(w).items()}
+        for w in indices})
+    partial = hecke.PCanonicalTable(d, "infinity", "H", {})
+    for lam in lams:
+        assert ch.projective_multiplicities_weight(doubled, lam, 5) \
+            == {nu: 2 * m for nu, m in rows[lam].items()}
+        with pytest.raises(KeyError):
+            ch.projective_multiplicities_weight(partial, lam, 5)
+        for kind in ("N", "M"):
+            with pytest.raises(ValueError) as err:
+                ch.projective_multiplicities_weight(
+                    hecke.builtin_kl_table(d, kind), lam, 5)
+            assert str(err.value) \
+                == "periodic canonical elements need an algebra table"
+        with pytest.raises(ValueError) as err:
+            ch.projective_multiplicities_weight(
+                hecke.PCanonicalTable(d, 7, "H", builtin=True), lam, 5)
+        assert str(err.value) == "the table was made for p = 7, not p = 5"
+    entry = d.memo.entry("characters_projective_rows")
+    assert {t for t, _ in entry} == {builtin, doubled}

@@ -1,6 +1,7 @@
 """Periodic module: wall-crossing action, canonical elements, positivity."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from affkl import alcoves, hecke, periodic, rootdata, weyl
 from affkl.hecke import LaurentPoly, one, v
 from oracles import (canonical_P_by_division, column_index_by_lengths,
                      coset_tops_by_lengths, p_canonical_P_direct,
-                     twisted_finite_by_tau)
+                     per_translate_by_alcoves, twisted_finite_by_tau)
 
 
 def _alcove_strategy(datum, max_word=4):
@@ -144,6 +145,28 @@ def test_translation_twists_the_action(a2, data):
         rhs = periodic.per_translate(
             periodic.per_act(x, hecke.standard(s)), lam)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3",
+                                   "G2"])
+def test_per_translate_matches_per_key_route(label):
+    """per_translate equals alcoves.translate key by key on an element over
+    a window, with distinct coefficients, for the weights with coordinates
+    in {-1, 0, 1} and the roots: inside the root lattice (keys rebuilt) and
+    outside it (Omega-twisted), wherever X is larger than the root lattice
+    (every type but G2)."""
+    d = rootdata.build_root_datum(label)
+    window = alcoves.enumerate_alcoves(d, 4 if d.rank < 3 else 3)
+    x = periodic.PeriodicElem(d, {a: LaurentPoly.term(k + 1, k % 5)
+                                  for k, a in enumerate(window)})
+    roots = [r for root in d.positive_roots
+             for r in (root, tuple(-c for c in root))]
+    lattice_classes = set()
+    for mu in list(product((-1, 0, 1), repeat=d.lattice_rank)) + roots:
+        assert periodic.per_translate(x, mu) \
+            == per_translate_by_alcoves(x, mu), mu
+        lattice_classes.add(d.in_root_lattice(mu))
+    assert lattice_classes == ({True} if label == "G2" else {True, False})
 
 
 def test_positivity_check_passes_on_builtin(a1, a1_table):
