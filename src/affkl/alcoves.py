@@ -151,14 +151,16 @@ def _dominant_shift(datum, q):
     return max(0, max(-pair(q, c) // h + 1 for c in datum.simple_coroots))
 
 
-def _point_length(datum, q):
-    """l(x) for the W-element x whose alcove holds the scaled point q: the
-    number of affine walls <., a^vee> = k between q / h and A_fund, which
-    is n // h for n = <q, a^vee> > 0 (k = 1 .. n // h) and -n // h + 1 for
-    n < 0 (k = 0 down to the ceiling of n / h), summed over a > 0."""
+def _floor_length(datum, q):
+    """The sum over a > 0 of <q, a^vee> // h for the scaled point q.  On a
+    dominant q every pairing n is positive, and the sum is l(x) for the
+    W-element x whose alcove holds q: the affine walls <., a^vee> = k
+    between q / h and A_fund are those with k = 1 .. n // h.  A shift of q
+    by h m varsigma adds m <varsigma, a^vee> to each term whatever the
+    point, so two points differ in it as their dominant translates differ
+    in length."""
     h = datum.coxeter_number
-    return sum(n // h if n > 0 else -n // h + 1
-               for n in (pair(q, c) for c in datum.positive_coroots))
+    return sum(pair(q, c) // h for c in datum.positive_coroots)
 
 
 def generic_leq(a, b):
@@ -168,24 +170,28 @@ def generic_leq(a, b):
     Both alcoves are translated by m * varsigma for the smallest m >= 0 that
     makes both dominant, and the verdict is the Bruhat order of the
     translates.  The translate by mu holds the point q + h mu, so every step
-    runs on the points alone: the lengths in closed form (_point_length),
-    then one weyl._bruhat_points walk from the shorter to the longer, none
-    at equal lengths, where distinct elements are incomparable.  On
-    dominant alcoves the verdict no longer depends on m; the test suite
-    re-checks that against a stepping oracle.
+    runs on the points alone: the lengths compare in closed form before
+    the shift (_floor_length), distinct elements of equal length are
+    incomparable, and otherwise one weyl._bruhat_points walk runs from the
+    shorter translate to the longer.  On dominant alcoves the verdict no
+    longer depends on m; the test suite re-checks that against a stepping
+    oracle.
     """
     if a == b:
         return "equal"
     d = a.datum
+    la, lb = _floor_length(d, _point(a)), _floor_length(d, _point(b))
+    if la == lb:
+        return "incomparable"
     m = max(_dominant_shift(d, _point(a)), _dominant_shift(d, _point(b)))
     shift = scale_weight(d.coxeter_number * m, d.varsigma)
     qa, qb = add_weights(_point(a), shift), add_weights(_point(b), shift)
-    la, lb = _point_length(d, qa), _point_length(d, qb)
-    if la < lb and weyl._bruhat_points(weyl._walls(d), qa, qb):
-        return "less-equal"
-    if lb < la and weyl._bruhat_points(weyl._walls(d), qb, qa):
-        return "greater-equal"
-    return "incomparable"
+    walls = weyl._walls(d)
+    if la < lb:
+        return "less-equal" if weyl._bruhat_points(walls, qa, qb) \
+            else "incomparable"
+    return "greater-equal" if weyl._bruhat_points(walls, qb, qa) \
+        else "incomparable"
 
 
 def enumerate_alcoves(datum, max_len):

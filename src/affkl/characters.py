@@ -127,13 +127,63 @@ def _is_regular(datum, lam, p):
 
 def block_position(datum, lam, p):
     """(base, w): the unique weight of the block inside the fundamental
-    p-alcove and the element with w dot_p base == lam.  Regular weights only."""
+    p-alcove and the element with w dot_p base == lam.  Regular weights
+    only.  Read off one alcove walk (_block_walk), with no group product."""
     _check_weight(datum, lam)
+    base, fin, w0 = _block_walk(datum, tuple(lam), p)
+    return base, weyl.ExtElem(
+        datum, fin, weyl._mat_apply(weyl._mat_inv(datum, fin), w0))
+
+
+def _finite_by_image(datum):
+    """{f(varsigma): f} over the finite Weyl group, memoized per datum:
+    varsigma is regular, so its image names f (|W_f| entries)."""
+    return datum.memo.entry("characters_finite_by_image", lambda: {
+        weyl._mat_apply(x.fin, datum.varsigma): x.fin
+        for x in weyl.finite_elements(datum)})
+
+
+def _block_walk(datum, lam, p):
+    """(base, fin, w0) for a regular lam = w dot_p base, base in the
+    fundamental p-alcove: fin is the finite part of w and w0 = w(0).
+
+    One walk (weyl._fundamental_walk) takes lam + varsigma into the
+    fundamental p-alcove across the walls of s_1, ..., s_k, so the walk's
+    y is s_k ... s_1 and w = y^{-1} = s_1 ... s_k.  Reflecting the h-scaled
+    points 0 and varsigma = h b0 along the crossed walls in reverse order
+    gives h w(0) and h w(b0), whose difference is fin(varsigma), which
+    names fin (_finite_by_image).  base + varsigma = y dot_p (lam +
+    varsigma) = fin^{-1}(lam + varsigma - p w0)."""
     if not _is_regular(datum, lam, p):
         raise ValueError("weight lies on a p-wall; its block is singular")
-    y = weyl.walk_to_fundamental(datum, add_weights(lam, datum.varsigma), p)
-    base = weyl.dot_p(y, lam, p)
-    return base, weyl.invert(y)
+    top = add_weights(lam, datum.varsigma)
+    walls = weyl._walls(datum)
+    zero, point = (0,) * datum.lattice_rank, datum.varsigma
+    for i in reversed(weyl._fundamental_walk(datum, top, p)):
+        c, level, r = walls[i]
+        zero = sub_weights(zero, scale_weight(pair(zero, c) - level, r))
+        point = sub_weights(point, scale_weight(pair(point, c) - level, r))
+    fin = _finite_by_image(datum)[sub_weights(point, zero)]
+    w0 = tuple(z // datum.coxeter_number for z in zero)
+    base = weyl._mat_apply(weyl._mat_inv(datum, fin),
+                           sub_weights(top, scale_weight(p, w0)))
+    return sub_weights(base, datum.varsigma), fin, w0
+
+
+def _block_hat(datum, lam, p):
+    """(base, x.fin, x(0)) for hat(A) = x(A_fund), A = w(A_fund) the block
+    alcove of the regular lam = w dot_p base (_block_walk).  hat(A) is
+    (t_mu w_f t_{-mu})(A) for mu = box_rep_below(A); lam + varsigma lies in
+    p A, on no wall, so mu pairs to the ceiling of <lam + varsigma, c> / p
+    with each simple coroot c.  Then x.fin = w_f fin and
+    x(0) = mu + w_f(w(0) - mu)."""
+    base, fin, w0 = _block_walk(datum, lam, p)
+    top = add_weights(lam, datum.varsigma)
+    mu = datum.weight_with_pairings(
+        [-(-pair(top, c) // p) for c in datum.simple_coroots])
+    wf = weyl.longest_element(datum).fin
+    return base, weyl._mat_mul(wf, fin), add_weights(
+        mu, weyl._mat_apply(wf, sub_weights(w0, mu)))
 
 
 def projective_multiplicities_weight(table, lam, p):
@@ -143,25 +193,24 @@ def projective_multiplicities_weight(table, lam, p):
     Steinberg-type weights give the single-entry row {lam: 1} (there the
     projective cover, the baby Verma and the simple module all coincide).
     A regular weight lam = w dot_p base, with base in the fundamental
-    p-alcove and w in W (block_position), gets q_A of the alcove
-    A = w(A_fund), its keys B relabelled by the weights B dot_p base.
-    hat(A) = t_mu f(A_fund), with mu in the root lattice, and
-    dot_p(t_mu B, base, p) = dot_p(B, base, p) + p mu, so the row is read
-    off the finite base's row (_finite_base_row): the key (f, f(t), m)
-    becomes f(base + varsigma) + p mu - varsigma + p f(t).  Other singular
-    weights are refused, and so is an N- or M-kind table ("periodic
-    canonical elements need an algebra table").
+    p-alcove and w in W, gets q_A of the alcove A = w(A_fund), its keys B
+    relabelled by the weights B dot_p base.  One alcove walk gives base and
+    hat(A) = x(A_fund) as x.fin and x(0) (_block_hat), with no group
+    product.  hat(A) = t_mu f(A_fund) with f = x.fin and mu = x(0) in the
+    root lattice, and dot_p(t_mu B, base, p) = dot_p(B, base, p) + p mu,
+    so the row is read off the finite base's row (_finite_base_row): the
+    key (f', f'(t), m) becomes f'(base + varsigma) + p mu - varsigma +
+    p f'(t).  Other singular weights are refused, and so is an N- or
+    M-kind table ("periodic canonical elements need an algebra table").
     """
     lam = _check_query(table, lam, p)
     datum = table.datum
     if is_steinberg_type(datum, lam, p):
         return {lam: 1}
-    base, w = block_position(datum, lam, p)
-    x = alcoves.hat(alcoves.from_weyl(w)).elem
-    shift = sub_weights(scale_weight(p, x.apply((0,) * datum.lattice_rank)),
-                        datum.varsigma)
+    base, fin, x0 = _block_hat(datum, lam, p)
+    shift = sub_weights(scale_weight(p, x0), datum.varsigma)
     top = add_weights(base, datum.varsigma)
-    row = _finite_base_row(table, x.fin)
+    row = _finite_base_row(table, fin)
     corner = {f: add_weights(weyl._mat_apply(f, top), shift)
               for f in {f for f, _, _ in row}}
     return {tuple(c + p * t for c, t in zip(corner[f], ft)): m

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from . import alcoves, hecke, weyl
 from .hecke import Combination, HeckeElem, LaurentPoly, one
-from .rootdata import add_weights, pair, sub_weights
+from .rootdata import add_weights, pair, scale_weight, sub_weights
 
 __all__ = [
     "PeriodicElem",
@@ -219,14 +219,22 @@ def _coset_tops(datum, mu, column):
     """{w_mu k: col[k]} over the keys k that top their coset W_f' k, where
     W_f' = tau_mu(W_f), w_mu = tau_mu(w_f), and k is a top exactly when
     every twisted simple reflection is a left descent of it; W_f', w_mu and
-    their walls come from _twisted_finite.  RuntimeError names the first
-    key (in sort order) that breaks col[z w_mu k] = v^{l(w_f) - l(z)} col[k]
-    for z in W_f' or lies in no such coset."""
+    their walls come from _twisted_finite.  The column must be the sum of
+    its cosets, col[z w_mu k] = v^{l(w_f) - l(z)} col[k] for z in W_f',
+    with no other key; _coset_sums_hold checks that on alcove points.  If
+    it fails, the column is rebuilt from its tops by group products, and a
+    RuntimeError names the first key (in sort order) where the two differ."""
     twisted, walls = _twisted_finite(datum, mu)
     w_mu, lf = twisted[-1]
     column = {k: p for k, p in column.items() if not p.is_zero()}
-    tops = {weyl.multiply(w_mu, k): p for k, p in column.items()
-            if all(_twisted_descents(walls, k))}
+    points, tops = {}, {}
+    for k, p in column.items():
+        q = weyl._alcove_point(k)
+        points[q] = p.coeffs
+        if all(pair(q, c) < level for c, level, _ in walls):
+            tops[weyl.multiply(w_mu, k)] = p
+    if _coset_sums_hold(datum, twisted, tops, points, column):
+        return tops
     expected = {weyl.multiply(z, y): p * LaurentPoly.term(1, lf - lz)
                 for y, p in tops.items() for z, lz in twisted}
     if expected != column:
@@ -236,7 +244,30 @@ def _coset_tops(datum, mu, column):
             "the column does not have the twisted finite coset structure at "
             "%s; internal consistency failure" % weyl.to_text(bad)
         )
-    return tops
+    return tops  # keys outside W, which per_act refuses
+
+
+def _coset_sums_hold(datum, twisted, tops, points, column):
+    """True iff the column (nonzero coefficients; points maps the alcove
+    point of each key to its coefficients) is the map
+    z y -> v^{l(w_f) - l(z)} col[y] over its tops y and z in W_f', checked
+    with no group product: every key lies in W, where the point h x(b0)
+    names x, and the point of z y is z's image fin(q + h trans) of the
+    point q of y, for z = fin t_trans.  Distinct pairs (z, y) give
+    distinct elements, as the tops lie in distinct cosets, so the column
+    has exactly |tops| |W_f'| keys."""
+    if len(column) != len(tops) * len(twisted) or not all(
+            datum.in_root_lattice(k.trans) for k in column):
+        return False
+    h, lf = datum.coxeter_number, twisted[-1][1]
+    images = [(z.fin, scale_weight(h, z.trans), lf - lz) for z, lz in twisted]
+    for y, p in tops.items():
+        q = weyl._alcove_point(y)
+        for fin, trans, shift in images:
+            if points.get(weyl._mat_apply(fin, add_weights(q, trans))) \
+                    != {e + shift: c for e, c in p.coeffs.items()}:
+                return False
+    return True
 
 
 def _lusztig_formula(alcove, column):
@@ -295,7 +326,9 @@ def p_canonical_P(table, alcove):
         lam = x.apply((0,) * x.datum.lattice_rank)
         if any(lam):
             elem = cache[table, alcove] = per_translate(elem, lam)
-    return PeriodicElem(elem.datum, elem.support)  # the caller's own copy
+    copy = PeriodicElem.__new__(PeriodicElem)
+    copy.datum, copy.support = elem.datum, dict(elem.support)
+    return copy  # the caller's own copy, with no zero filter to rerun
 
 
 def _maximal_key(support):

@@ -22,7 +22,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from itertools import product
+from itertools import product, repeat
+from operator import add, mul, neg, sub
 
 from ._intlinalg import inverse, smith_normal_form
 
@@ -52,23 +53,23 @@ _NAMED_CARTAN = {
 
 def pair(weight, covector):
     """Exact pairing <weight, covector> (dot product; works for Fractions)."""
-    return sum(a * b for a, b in zip(weight, covector))
+    return sum(map(mul, weight, covector))
 
 
 def add_weights(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def sub_weights(x, y):
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))
 
 
 def neg_weight(x):
-    return tuple(-a for a in x)
+    return tuple(map(neg, x))
 
 
 def scale_weight(c, x):
-    return tuple(c * a for a in x)
+    return tuple(map(mul, repeat(c), x))
 
 
 _WEIGHT_COORDS = re.compile(r"(?:-?\d+(?:\s*,\s*|\s+))*-?\d+|")

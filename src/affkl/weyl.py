@@ -272,18 +272,26 @@ def generator_names(datum):
 # Omega and decompositions
 
 
-def walk_to_fundamental(datum, q, scale):
-    """Return y in W with y(q / scale) inside the closed fundamental alcove,
-    for an integer point q and a positive integer scale: the wall levels
-    are scaled from h to scale, so every wall test is an integer
-    comparison.  The simple walls are crossed before the affine ones."""
+def _fundamental_walk(datum, q, scale):
+    """The indices of the walls crossed by the walk of the integer point q,
+    taken at the positive integer scale, into the closed fundamental
+    alcove: the wall levels of _walls are scaled from h to scale, so every
+    wall test is an integer comparison.  The simple walls are crossed
+    before the affine ones."""
     h = datum.coxeter_number
     walls = [(c, level // h * scale, r) for c, level, r in _walls(datum)]
     n_aff = len(walls) - datum.rank
     order = list(range(n_aff, len(walls))) + list(range(n_aff))
+    return _walk(walls, q, order)
+
+
+def walk_to_fundamental(datum, q, scale):
+    """Return y in W with y(q / scale) inside the closed fundamental alcove,
+    for an integer point q and a positive integer scale: the product of the
+    generators of the walls _fundamental_walk crosses, the first rightmost."""
     gens = all_generators(datum)
     y = identity(datum)
-    for i in _walk(walls, q, order):
+    for i in _fundamental_walk(datum, q, scale):
         y = multiply(gens[i], y)
     return y
 

@@ -60,6 +60,10 @@ production algorithm, so agreement is evidence rather than tautology:
   where ``characters.projective_multiplicities_weight`` reads q_A of the
   weight's block alcove, a periodic canonical element, off its finite
   base's row.
+* ``block_position_by_products`` finds the block position of a weight as
+  the product of the generators its alcove walk crosses, inverted, with
+  base = y dot_p lam, and the hat of its block alcove by a group product,
+  where ``characters`` reflects two points back along the crossed walls.
 * ``projective_row_by_q_of_alcove`` relabels q_A of the weight's block
   alcove key by key with ``weyl.dot_p``, where
   ``characters.projective_multiplicities_weight`` shifts the memoized row
@@ -556,6 +560,16 @@ def projective_row_by_column(table, lam, p):
         if val:
             row[sub_weights(weyl.dot_p(y, base, p), shift)] = val
     return row
+
+
+def block_position_by_products(datum, lam, p):
+    """(base, w, x) for a regular lam: y = weyl.walk_to_fundamental of
+    lam + varsigma at scale p (one group product per crossed wall),
+    base = y dot_p lam, w = y^{-1} and x the element of
+    alcoves.hat(w(A_fund))."""
+    y = weyl.walk_to_fundamental(datum, add_weights(lam, datum.varsigma), p)
+    w = weyl.invert(y)
+    return weyl.dot_p(y, lam, p), w, alcoves.hat(alcoves.from_weyl(w)).elem
 
 
 def projective_row_by_q_of_alcove(table, lam, p):

@@ -220,13 +220,24 @@ def test_generic_leq_matches_two_walks(label, bound):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_point_length_matches_length(label):
-    """The closed-form length of a scaled alcove point is weyl.length of
-    its element, on every element of length <= 5 (<= 3 on B3 and C3)."""
+    """The closed-form length that generic_leq compares before it shifts
+    the points moves with the shift as weyl.length does: for m = the
+    smallest dominant shift and the one after it, _floor_length of x's
+    point plus m times the sum of <varsigma, a^vee> over a > 0 is the
+    length of the translate of x(A_fund) by m varsigma, on every element
+    of length <= 5 (<= 3 on B3 and C3)."""
     d = rootdata.build_root_datum(label)
     bound = 3 if label in ("B3", "C3") else 5
+    height = sum(pair(d.varsigma, c) for c in d.positive_coroots)
     for x in weyl.enumerate_W(d, bound):
-        assert alcoves._point_length(d, weyl._alcove_point(x)) \
-            == weyl.length(x), x
+        q = weyl._alcove_point(x)
+        m0 = alcoves._dominant_shift(d, q)
+        for m in (m0, m0 + 1):
+            t = alcoves.translate(alcoves.Alcove(x),
+                                  tuple(m * c for c in d.varsigma))
+            assert alcoves.is_dominant(t), (x, m)
+            assert alcoves._floor_length(d, q) + m * height \
+                == weyl.length(t.elem), (x, m)
 
 
 def _dominant_translates(a, b):

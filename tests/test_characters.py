@@ -8,7 +8,8 @@ from itertools import product
 import pytest
 
 from affkl import alcoves, characters as ch, hecke, rootdata, weyl
-from oracles import (coset_constancy, label_violation,
+from oracles import (block_position_by_products, coset_constancy,
+                     label_violation,
                      lower_block_candidates_by_walk, projective_row_by_column,
                      projective_row_by_q_of_alcove,
                      simple_characters_by_reciprocity, sl2_simple_character)
@@ -49,6 +50,42 @@ def test_block_position_roundtrip(a1):
         assert weyl.dot_p(w, base, 5) == (lam,)
         # the base weight lies in the interior of the fundamental p-alcove
         assert 0 < base[0] + 1 < 5
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3",
+                                   "G2"])
+def test_block_walk_matches_products(label):
+    """The point walk gives the block position and the hat of the block
+    alcove that group products give, for every regular weight of
+    [0, 2p)^rank, p the least prime >= 2h - 1."""
+    d = rootdata.build_root_datum(label)
+    p = 2 * d.coxeter_number - 1
+    while any(p % q == 0 for q in range(2, p)):
+        p += 1
+    zero = (0,) * d.lattice_rank
+    checked = 0
+    for lam in product(range(2 * p), repeat=d.rank):
+        if not ch._is_regular(d, lam, p):
+            continue
+        base, w, x = block_position_by_products(d, lam, p)
+        assert ch.block_position(d, lam, p) == (base, w), lam
+        assert ch._block_hat(d, lam, p) == (base, x.fin, x.apply(zero)), lam
+        checked += 1
+    assert checked
+
+
+def test_finite_by_image_holds_one_entry_per_finite_element():
+    """The image-to-element table of the block walk has |W_f| entries per
+    datum, however many weights are asked."""
+    for label in ("A2", "G2"):
+        d = rootdata.build_root_datum(label)
+        for lam in product(range(-11, 22), repeat=2):
+            if ch._is_regular(d, lam, 11):
+                ch.block_position(d, lam, 11)
+        entry = d.memo.entry("characters_finite_by_image")
+        assert len(entry) == len(weyl.finite_elements(d))
+        assert set(entry.values()) \
+            == {x.fin for x in weyl.finite_elements(d)}
 
 
 @pytest.mark.parametrize("label, p, weights", [

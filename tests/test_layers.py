@@ -93,8 +93,8 @@ def test_only_intlinalg_and_cli_import_fractions():
 # The runtime is stdlib-only, and every import on the CLI path adds to the
 # fixed cost of each process.  A new module here is a decision, not a drift.
 STDLIB_IMPORTS = {"__future__", "argparse", "fractions", "hashlib",
-                  "itertools", "json", "math", "os", "re", "struct", "sys",
-                  "time", "zlib"}
+                  "itertools", "json", "math", "operator", "os", "re",
+                  "struct", "sys", "time", "zlib"}
 
 
 def test_package_imports_only_itself_and_known_stdlib_modules():

@@ -291,6 +291,54 @@ def test_column_off_its_coset_structure_is_refused(a2, a2_table):
     assert weyl.to_text(bottom) in str(err.value)
 
 
+@pytest.mark.parametrize("label, bound", [("A1", 6), ("A2", 3), ("C2", 3),
+                                          ("G2", 2)])
+def test_coset_check_of_a_well_formed_column_runs_on_points(label, bound,
+                                                           monkeypatch):
+    """On the built-in columns of a window the coset check passes on alcove
+    points: _coset_tops makes one group product per top, for its key, and
+    none to rebuild the column."""
+    d = rootdata.build_root_datum(label)
+    table = hecke.builtin_kl_table(d)
+    multiply = weyl.multiply
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return multiply(x, y)
+
+    for a in alcoves.enumerate_alcoves(d, bound):
+        mu = alcoves.box_rep_above(a)
+        column = table.column(periodic._column_index(a))
+        periodic._twisted_finite(d, mu)  # fill the memo outside the count
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(weyl, "multiply", counted)
+            tops = periodic._coset_tops(d, mu, column)
+        assert tops and len(calls) == len(tops), a
+
+
+def test_coset_check_on_keys_outside_W(a2, a2_table):
+    """A key outside W holds the alcove point of a key of W, so points
+    alone do not decide it: a column moved off W by omega on the right
+    keeps its coset structure, with the same tops as by products and
+    lengths, and a column with one non-top key so moved loses it."""
+    a = alcoves.from_weyl(weyl.multiply(*weyl.all_generators(a2)[:2]))
+    idx = periodic._column_index(a)
+    mu = alcoves.box_rep_above(a)
+    col = a2_table.column(idx)
+    omega = weyl.omega_elements(a2)[1]
+    moved = {weyl.multiply(k, omega): p for k, p in col.items()}
+    tops = periodic._coset_tops(a2, mu, moved)
+    assert tops and tops == coset_tops_by_lengths(a2, mu, moved)
+    bottom = weyl.multiply(weyl.tau(a2, mu, weyl.longest_element(a2)), idx)
+    one_moved = dict(col)
+    one_moved[weyl.multiply(bottom, omega)] = one_moved.pop(bottom)
+    for route in (periodic._coset_tops, coset_tops_by_lengths):
+        with pytest.raises(RuntimeError):
+            route(a2, mu, one_moved)
+
+
 def _base(a):
     """The base alcove w(A_fund) of a = (w t_m)(A_fund)."""
     return alcoves.Alcove(weyl.from_finite_matrix(a.datum, a.elem.fin))

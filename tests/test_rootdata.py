@@ -1,5 +1,6 @@
 """Root data: positive systems, constants, lattices, hashes, JSON schema."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -90,3 +91,31 @@ def test_cartan_validation_rejects_asymmetric_zero_pattern():
         build_root_datum({"schema": 1, "type": None,
                           "cartan": [[2, -1], [0, 2]],
                           "lattice": "simply_connected"})
+
+
+def test_weight_arithmetic_matches_the_zip_forms():
+    """pair, add_weights, sub_weights, neg_weight and scale_weight equal
+    their generator-expression forms, value and type, on integer and
+    Fraction vectors of lengths 0 to 3, mixed too."""
+    rng = random.Random(7)
+
+    def coordinate():
+        n = rng.randint(-9, 9)
+        return n if rng.random() < 0.5 else Fraction(n, rng.randint(1, 6))
+
+    for _ in range(500):
+        size = rng.randint(0, 3)
+        x = tuple(coordinate() for _ in range(size))
+        y = tuple(coordinate() for _ in range(size))
+        c = coordinate()
+        cases = [
+            (rootdata.pair(x, y), sum(a * b for a, b in zip(x, y))),
+            (rootdata.add_weights(x, y), tuple(a + b for a, b in zip(x, y))),
+            (rootdata.sub_weights(x, y), tuple(a - b for a, b in zip(x, y))),
+            (rootdata.neg_weight(x), tuple(-a for a in x)),
+            (rootdata.scale_weight(c, x), tuple(c * a for a in x)),
+        ]
+        for got, want in cases:
+            assert got == want and type(got) is type(want), (x, y, c)
+            if isinstance(want, tuple):
+                assert list(map(type, got)) == list(map(type, want))
