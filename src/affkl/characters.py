@@ -31,7 +31,6 @@ __all__ = [
     "baby_verma_character",
     "simple_character",
     "dominant_part",
-    "block_position",
     "is_steinberg_type",
     "WindowError",
 ]
@@ -123,16 +122,6 @@ def is_steinberg_type(datum, lam, p):
 def _is_regular(datum, lam, p):
     shifted = add_weights(lam, datum.varsigma)
     return all(pair(shifted, c) % p != 0 for c in datum.positive_coroots)
-
-
-def block_position(datum, lam, p):
-    """(base, w): the unique weight of the block inside the fundamental
-    p-alcove and the element with w dot_p base == lam.  Regular weights
-    only.  Read off one alcove walk (_block_walk), with no group product."""
-    _check_weight(datum, lam)
-    base, fin, w0 = _block_walk(datum, tuple(lam), p)
-    return base, weyl.ExtElem(
-        datum, fin, weyl._mat_apply(weyl._mat_inv(datum, fin), w0))
 
 
 def _finite_by_image(datum):

@@ -7,6 +7,10 @@ timings unless ``--timings`` is passed, JSON keys are sorted, and all sweeps
 iterate in the library's canonical (length, word) order.  Exit codes: 0 all
 checks pass, 1 a mathematical check is falsified, 2 configuration or data
 error, 3 internal error (an exception the library does not map to 2).
+
+Only ``rootdata`` is imported with this module.  Every function that calls
+another layer imports it where it runs, so a command compiles only the
+layers it uses (``compute bounds`` none but ``rootdata``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, alcoves, characters, hecke, parabolic, periodic, rootdata, weyl
+from . import __version__, rootdata
 from .rootdata import pair
 
 __all__ = ["main"]
@@ -54,6 +58,7 @@ def _build_datum(args):
 
 
 def _attach_cache(datum):
+    from . import hecke
     cache_dir = os.environ.get("AFFKL_CACHE_DIR")
     if cache_dir:
         path = os.path.join(cache_dir, "%s-%s.klcache" % (
@@ -68,6 +73,7 @@ def _attach_cache(datum):
 def _build_table(datum, args):
     """The --table table, after attaching the KL disk cache: only the
     queries that read a table compute KL columns."""
+    from . import hecke
     _attach_cache(datum)
     source = args.table or "builtin"
     if source == "builtin":
@@ -84,6 +90,7 @@ def _build_table(datum, args):
 def _parse_elem(datum, text):
     """Accept the canonical text form or a bare generator word 's0 s1',
     which weyl.from_text reads as the word field 'w: s0 s1'."""
+    from . import weyl
     text = text.strip()
     if text and text != "e" and ":" not in text:
         text = "w: " + text
@@ -91,6 +98,7 @@ def _parse_elem(datum, text):
 
 
 def _parse_alcove(datum, text):
+    from . import alcoves
     return alcoves.from_weyl(_parse_elem(datum, text))
 
 
@@ -132,6 +140,7 @@ def _check(name, ok, **fields):
 
 def _first_pair(pairs, bad):
     """The element texts of the first alcove pair on which bad holds."""
+    from . import weyl
     for a, b in pairs:
         if bad(a, b):
             return [weyl.to_text(a.elem), weyl.to_text(b.elem)]
@@ -139,6 +148,7 @@ def _first_pair(pairs, bad):
 
 
 def _suite_lemma_rho(datum, table, args):
+    from . import parabolic, weyl
     for omega in weyl.omega_elements(datum):
         detail = None
         try:
@@ -150,6 +160,7 @@ def _suite_lemma_rho(datum, table, args):
 
 
 def _suite_main(datum, table, args):
+    from . import parabolic, weyl
     for w in weyl.enumerate_fWext(datum, args.max_len):
         rep = parabolic.verify_main(table, w)
         yield _check("central-morphism-matches-canonical-column",
@@ -158,6 +169,7 @@ def _suite_main(datum, table, args):
 
 
 def _suite_periodic(datum, table, args):
+    from . import alcoves, periodic, weyl
     window = alcoves.enumerate_alcoves(datum, args.max_len)
     detail = None
     try:
@@ -177,6 +189,7 @@ def _suite_periodic(datum, table, args):
 
 
 def _suite_orders(datum, table, args):
+    from . import alcoves, weyl
     window = alcoves.enumerate_alcoves(datum, args.max_len)
     fund = alcoves.fundamental_alcove(datum)
     leq = alcoves.generic_leq
@@ -243,21 +256,24 @@ def cmd_verify(args):
 def _coefficients(datum, el):
     """The terms of a basis element in its order; a term of the periodic
     module is an alcove, named by its element."""
+    from . import weyl
     rows = []
     for k, p in el.items_sorted():
-        field, x = (("alcove", k.elem) if isinstance(k, alcoves.Alcove)
-                    else ("index", k))
+        field, x = (("index", k) if isinstance(k, weyl.ExtElem)
+                    else ("alcove", k.elem))
         rows.append({field: weyl.to_text(x), "coefficient": p.to_pairs()})
     return rows
 
 
 def _alcove_multiplicities(datum, q):
+    from . import weyl
     return [{"alcove": weyl.to_text(a.elem), "multiplicity": m}
             for a, m in sorted(q.items(),
                                key=lambda kv: weyl.sort_key(kv[0].elem))]
 
 
 def _weight_rows(datum, char):
+    from . import characters
     return [{"weight": list(w), "multiplicity": m}
             for w, m in sorted(char.items(), key=lambda kv: (
                 characters._weight_height(datum, kv[0]), kv[0]))]
@@ -275,6 +291,45 @@ _COMPUTE_FLAGS = {
     "p": (lambda datum, p: p, {"type": int, "help": "the prime"}),
 }
 
+# The compute kinds that reach a layer other than rootdata, each loading
+# its layer when it runs.
+
+
+def _asph(table, w):
+    from . import parabolic
+    return parabolic.p_N(table, w)
+
+
+def _sph(table, w):
+    from . import parabolic
+    return parabolic.p_M(table, w)
+
+
+def _periodic(table, a):
+    from . import periodic
+    return periodic.p_canonical_P(table, a)
+
+
+def _qa(table, a):
+    from . import characters
+    return characters.q_of_alcove(table, a)
+
+
+def _simplechar(table, p, lam):
+    from . import characters
+    return characters.simple_character(table, lam, p)
+
+
+def _projmult(table, p, lam):
+    from . import characters
+    return characters.projective_multiplicities_weight(table, lam, p)
+
+
+def _babyverma(datum, p, lam):
+    from . import characters
+    return characters.baby_verma_character(datum, lam, p)
+
+
 # kind: (the flags it needs, read and passed in this order; whether it reads
 # a table, which is then passed first, else the datum is; the function; the
 # formatter of its result, or None for a result printed as it is).  The
@@ -282,20 +337,13 @@ _COMPUTE_FLAGS = {
 # point is the one called.
 _COMPUTE = {
     "kl": (("elem",), True, lambda t, w: t.as_hecke(w), _coefficients),
-    "asph": (("elem",), True, lambda t, w: parabolic.p_N(t, w),
-             _coefficients),
-    "sph": (("elem",), True, lambda t, w: parabolic.p_M(t, w), _coefficients),
-    "periodic": (("alcove",), True,
-                 lambda t, a: periodic.p_canonical_P(t, a), _coefficients),
-    "qa": (("alcove",), True, lambda t, a: characters.q_of_alcove(t, a),
-           _alcove_multiplicities),
-    "simplechar": (("p", "weight"), True, lambda t, p, lam:
-                   characters.simple_character(t, lam, p), _weight_rows),
-    "projmult": (("p", "weight"), True, lambda t, p, lam:
-                 characters.projective_multiplicities_weight(t, lam, p),
-                 _weight_rows),
-    "babyverma": (("p", "weight"), False, lambda d, p, lam:
-                  characters.baby_verma_character(d, lam, p), _weight_rows),
+    "asph": (("elem",), True, _asph, _coefficients),
+    "sph": (("elem",), True, _sph, _coefficients),
+    "periodic": (("alcove",), True, _periodic, _coefficients),
+    "qa": (("alcove",), True, _qa, _alcove_multiplicities),
+    "simplechar": (("p", "weight"), True, _simplechar, _weight_rows),
+    "projmult": (("p", "weight"), True, _projmult, _weight_rows),
+    "babyverma": (("p", "weight"), False, _babyverma, _weight_rows),
     "bounds": ((), False, lambda d: dict(zip(
         ("baseline", "upper", "improved"), rootdata.complexity_bounds(d))),
         None),
@@ -332,6 +380,7 @@ def cmd_compute(args):
 def _fund_vertices(datum):
     """Vertices of the closed fundamental alcove as exact Fractions, from
     the wall table (simple walls first): <v, c> >= level / h on each."""
+    from . import weyl
     table = weyl._walls(datum)
     n_aff = len(table) - datum.rank
     walls = [(c, Fraction(level, datum.coxeter_number))
@@ -370,6 +419,7 @@ def _embedding(datum):
 
 
 def _window_alcoves(datum, bound):
+    from . import alcoves, weyl
     fund = alcoves.fundamental_alcove(datum)
     limit = datum.coxeter_number * bound
 
@@ -397,6 +447,7 @@ def _window_alcoves(datum, bound):
 
 def _shading(datum, expr):
     """(predicate(alcove) -> bool, labels dict keyed by alcove element)."""
+    from . import alcoves
     labels = {}
     expr = (expr or "").strip()
     if not expr or expr == "none":

@@ -18,15 +18,13 @@ exactly when its wall separates that point from A_fund.  One wall table
 and one walk that crosses separating walls serve the reduced words
 (lexicographically minimal, with the affine generator named s0 sorting
 first; used by the text form and the Hecke-algebra recursions), the walk
-of a point into the fundamental alcove, and the Bruhat order; the
-restricted test is a box test on the same point.
+of a point into the fundamental alcove, and the Bruhat order.
 """
 
 from __future__ import annotations
 
 from ._intlinalg import inverse
-from .rootdata import (_parse_weight, add_weights, neg_weight, pair,
-                       scale_weight, sub_weights)
+from .rootdata import _parse_weight, add_weights, neg_weight, pair, sub_weights
 
 __all__ = [
     "ExtElem",
@@ -52,8 +50,6 @@ __all__ = [
     "is_fW",
     "is_fWext",
     "longest_element",
-    "is_restricted",
-    "dot_p",
     "enumerate_W",
     "enumerate_fW",
     "enumerate_fWext",
@@ -500,21 +496,6 @@ def finite_elements(datum):
 def longest_element(datum):
     """The longest element w_f of the finite Weyl group."""
     return finite_elements(datum)[-1]
-
-
-def dot_p(w, lam, p):
-    """Dilated dot action: (u t_mu) dot_p lam = u(lam + p mu + varsigma) - varsigma."""
-    d = w.datum
-    inner = add_weights(add_weights(lam, scale_weight(p, w.trans)), d.varsigma)
-    return sub_weights(_mat_apply(w.fin, inner), d.varsigma)
-
-
-def is_restricted(w):
-    """True iff w dot_p 0 lies in the restricted box 0 <= <., a^vee> <= p-1,
-    for any p > h: w dot_p 0 + varsigma = p w(varsigma / p) lies in the
-    alcove w(A_fund), so the box test reads its point h x(b0), on no wall."""
-    q, h = _alcove_point(w), w.datum.coxeter_number
-    return all(0 < pair(q, c) < h for c in w.datum.simple_coroots)
 
 
 def enumerate_W(datum, max_len):

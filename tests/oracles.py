@@ -65,7 +65,7 @@ production algorithm, so agreement is evidence rather than tautology:
   base = y dot_p lam, and the hat of its block alcove by a group product,
   where ``characters`` reflects two points back along the crossed walls.
 * ``projective_row_by_q_of_alcove`` relabels q_A of the weight's block
-  alcove key by key with ``weyl.dot_p``, where
+  alcove key by key with ``dot_p``, where
   ``characters.projective_multiplicities_weight`` shifts the memoized row
   of the finite base of hat(A) by p times a root-lattice weight.
 * ``per_translate_by_alcoves`` shifts every key of a periodic element by
@@ -77,8 +77,15 @@ production algorithm, so agreement is evidence rather than tautology:
 * ``lower_block_candidates_by_walk`` scans the box below a weight and keeps
   the points whose alcove walk ends at the weight's own base weight.
 * ``is_restricted_by_dot_action`` tests restrictedness by the dilated dot
-  action at p = 2h + 1, and ``in_box_by_barycenter`` box membership on the
-  rational barycenter, where the library reads the integer alcove point.
+  action at p = 2h + 1, where ``is_restricted`` reads the integer alcove
+  point.
+* ``in_box_by_barycenter`` tests box membership on the rational
+  barycenter, where the library reads the integer alcove point.
+
+Three helpers have no caller in the library and serve the oracles and the
+tests only: ``dot_p`` (the dilated dot action), ``block_position`` (the
+block position of a weight, read off the library's block walk) and
+``is_restricted`` (the restricted-box test of an element).
 """
 
 from __future__ import annotations
@@ -90,6 +97,32 @@ from affkl import alcoves, characters, hecke, parabolic, periodic, weyl
 from affkl._intlinalg import inverse
 from affkl.hecke import LaurentPoly
 from affkl.rootdata import add_weights, pair, scale_weight, sub_weights
+
+
+def dot_p(w, lam, p):
+    """Dilated dot action: (u t_mu) dot_p lam = u(lam + p mu + varsigma) - varsigma."""
+    d = w.datum
+    inner = add_weights(add_weights(lam, scale_weight(p, w.trans)), d.varsigma)
+    return sub_weights(weyl._mat_apply(w.fin, inner), d.varsigma)
+
+
+def is_restricted(w):
+    """True iff w dot_p 0 lies in the restricted box 0 <= <., a^vee> <= p-1,
+    for any p > h: w dot_p 0 + varsigma = p w(varsigma / p) lies in the
+    alcove w(A_fund), so the box test reads its point h x(b0), on no wall."""
+    q, h = weyl._alcove_point(w), w.datum.coxeter_number
+    return all(0 < pair(q, c) < h for c in w.datum.simple_coroots)
+
+
+def block_position(datum, lam, p):
+    """(base, w): the unique weight of the block inside the fundamental
+    p-alcove and the element with w dot_p base == lam.  Regular weights
+    only.  Read off the library's alcove walk (characters._block_walk),
+    with no group product."""
+    characters._check_weight(datum, lam)
+    base, fin, w0 = characters._block_walk(datum, tuple(lam), p)
+    return base, weyl.ExtElem(
+        datum, fin, weyl._mat_apply(weyl._mat_inv(datum, fin), w0))
 
 
 def bfs_lengths(datum, max_len):
@@ -524,7 +557,7 @@ def label_violation(w):
     """The first hypothesis of the multiplicity theorem that t_varsigma * w
     breaks, "coset-minimal" or "restricted"; None when it keeps both.  Its
     alcove point, h varsigma plus w's, pairs > 0 with every simple coroot
-    when coset-minimal, and also < h when restricted (weyl.is_restricted)."""
+    when coset-minimal, and also < h when restricted (is_restricted)."""
     d = w.datum
     q = add_weights(scale_weight(d.coxeter_number, d.varsigma),
                     weyl._alcove_point(w))
@@ -545,8 +578,8 @@ def projective_row_by_column(table, lam, p):
     lam = tuple(lam)
     if characters.is_steinberg_type(datum, lam, p):
         return {lam: 1}
-    base, w = characters.block_position(datum, lam, p)
-    lam0 = weyl.dot_p(w, (0,) * datum.lattice_rank, p)
+    base, w = block_position(datum, lam, p)
+    lam0 = dot_p(w, (0,) * datum.lattice_rank, p)
     mu = datum.weight_with_pairings(
         [-(pair(lam0, c) // p) - 1 for c in datum.simple_coroots])
     w = weyl.multiply(weyl.translation(datum, mu), w)
@@ -558,7 +591,7 @@ def projective_row_by_column(table, lam, p):
     for y, poly in table.column(w).items():
         val = poly.evaluate_at_one()
         if val:
-            row[sub_weights(weyl.dot_p(y, base, p), shift)] = val
+            row[sub_weights(dot_p(y, base, p), shift)] = val
     return row
 
 
@@ -569,7 +602,7 @@ def block_position_by_products(datum, lam, p):
     alcoves.hat(w(A_fund))."""
     y = weyl.walk_to_fundamental(datum, add_weights(lam, datum.varsigma), p)
     w = weyl.invert(y)
-    return weyl.dot_p(y, lam, p), w, alcoves.hat(alcoves.from_weyl(w)).elem
+    return dot_p(y, lam, p), w, alcoves.hat(alcoves.from_weyl(w)).elem
 
 
 def projective_row_by_q_of_alcove(table, lam, p):
@@ -580,8 +613,8 @@ def projective_row_by_q_of_alcove(table, lam, p):
     lam = tuple(lam)
     if characters.is_steinberg_type(datum, lam, p):
         return {lam: 1}
-    base, w = characters.block_position(datum, lam, p)
-    return {weyl.dot_p(b.elem, base, p): m for b, m
+    base, w = block_position(datum, lam, p)
+    return {dot_p(b.elem, base, p): m for b, m
             in characters.q_of_alcove(table, alcoves.from_weyl(w)).items()}
 
 
@@ -617,7 +650,7 @@ def lower_block_candidates_by_walk(datum, lam, p):
     """Regular weights x = lam - sum k_i alpha_i, k != 0 in the box
     0 <= k_i <= (p-1) c_i, whose block_position (an alcove walk) has the
     base weight of lam; sorted by descending height, then by weight."""
-    base = characters.block_position(datum, lam, p)[0]
+    base = block_position(datum, lam, p)[0]
     bound = [(p - 1) * sum(cf[i] for cf in datum.root_coeffs)
              for i in range(datum.rank)]
     out = []
@@ -629,18 +662,18 @@ def lower_block_candidates_by_walk(datum, lam, p):
             x = sub_weights(x, scale_weight(k, root))
         if not characters._is_regular(datum, x, p):
             continue
-        if characters.block_position(datum, x, p)[0] == base:
+        if block_position(datum, x, p)[0] == base:
             out.append(x)
     return sorted(out, key=lambda w: (
         -sum(pair(w, c) for c in datum.positive_coroots), w))
 
 
 def is_restricted_by_dot_action(w):
-    """weyl.is_restricted by its definition: w dot_p 0 lies in the
+    """is_restricted by its definition: w dot_p 0 lies in the
     restricted box 0 <= <., a_i^vee> <= p - 1, at p = 2h + 1."""
     d = w.datum
     p = 2 * d.coxeter_number + 1
-    lam = weyl.dot_p(w, (0,) * d.lattice_rank, p)
+    lam = dot_p(w, (0,) * d.lattice_rank, p)
     return all(0 <= pair(lam, c) <= p - 1 for c in d.simple_coroots)
 
 

